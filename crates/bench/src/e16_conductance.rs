@@ -59,8 +59,10 @@ fn fingerprint(outcome: &WalkOutcome) -> u64 {
 pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
     let side = scale.pick(8usize, 16);
     let k = side * side;
-    // The robust rows Justesen-decode every walk codeword, so they stay
-    // small on both scales (the same economy E13 applies).
+    // The robust rows stay at k = 36 on both scales because the recorded
+    // E16 tables are pinned at this size. Decoding no longer forces it:
+    // clean walk codewords skip Berlekamp–Welch, so resizing is a change
+    // to the recorded tables, not a speed trade.
     let robust_side = 6usize;
     let robust_k = robust_side * robust_side;
     let max_retries = 4;

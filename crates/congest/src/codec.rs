@@ -55,22 +55,35 @@ pub struct JustesenCodec<M> {
     _marker: PhantomData<M>,
 }
 
+/// The field degree `m` of the smallest rate-1/3 Justesen instance
+/// holding `bits` message bits. That instance has `K = ⌊2(2^m − 1)/3⌋`
+/// outer symbols of `m` bits (see [`JustesenCode::rate_one_third`]), so
+/// `m` is the least with `K·m ≥ bits`.
+///
+/// # Panics
+///
+/// Panics if no supported instance (`m ≤ 16`) can hold `bits` —
+/// unreachable for the crate's message types, which pack into at most
+/// 128 bits.
+fn rate_one_third_degree(bits: usize) -> u32 {
+    (2..=16u32)
+        .find(|&m| (2 * ((1usize << m) - 1) / 3) * m as usize >= bits)
+        .expect("some rate-1/3 instance holds a 128-bit message")
+}
+
+/// The codeword length of [`JustesenCodec<M>`] in wire bits, `2·N·m`,
+/// without building the code.
+pub(crate) fn coded_bits<M: CodecMessage>() -> usize {
+    let m = rate_one_third_degree(M::PACKED_BITS);
+    2 * ((1usize << m) - 1) * m as usize
+}
+
 impl<M: CodecMessage> JustesenCodec<M> {
     /// Creates the codec with the smallest rate-1/3 Justesen instance
     /// holding `M::PACKED_BITS` message bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no supported instance (`m ≤ 16`) can hold the message —
-    /// unreachable for the crate's message types, which pack into at
-    /// most 128 bits.
     pub fn new() -> Self {
-        let code = (2..=16u32)
-            .map(JustesenCode::rate_one_third)
-            .find(|c| c.input_bits() >= M::PACKED_BITS)
-            .expect("some rate-1/3 instance holds a 128-bit message");
         JustesenCodec {
-            code,
+            code: JustesenCode::rate_one_third(rate_one_third_degree(M::PACKED_BITS)),
             _marker: PhantomData,
         }
     }
@@ -204,6 +217,31 @@ mod tests {
             Err(CodecError) => {}
             Ok((decoded, _)) => assert_ne!(decoded, msg),
         }
+    }
+
+    #[test]
+    fn closed_form_picks_the_searched_degree() {
+        // The instance the codec used to find by building every
+        // rate-1/3 code from m = 2 up until one held the message.
+        let searched = |bits: usize| {
+            (2..=16u32)
+                .find(|&m| JustesenCode::rate_one_third(m).input_bits() >= bits)
+                .unwrap()
+        };
+        for (bits, today) in [(64, 5), (97, 5), (128, 6)] {
+            let m = rate_one_third_degree(bits);
+            assert_eq!((m, searched(bits)), (today, today), "{bits}-bit message");
+            let code = JustesenCode::rate_one_third(m);
+            assert!(code.input_bits() >= bits);
+        }
+        assert_eq!(
+            coded_bits::<Compact>(),
+            JustesenCodec::<Compact>::new().output_bits()
+        );
+        assert_eq!(
+            coded_bits::<RelMsg>(),
+            JustesenCodec::<RelMsg>::new().output_bits()
+        );
     }
 
     #[test]

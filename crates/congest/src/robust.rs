@@ -23,7 +23,7 @@
 //!   round-limit error) or fails the token-conservation check after the
 //!   run — never silently wrong packages.
 
-use crate::codec::JustesenCodec;
+use crate::codec::{coded_bits, JustesenCodec};
 use crate::packaging::{
     cut_packages, forward_round_limit, forward_states, tokens_lost, PackagingError,
     PackagingResult, RobustStage,
@@ -61,10 +61,8 @@ impl RobustStats {
 /// codeword per directed edge per round, sized for the widest message
 /// type in the pipeline.
 pub fn robust_bandwidth_model() -> BandwidthModel {
-    let compact = JustesenCodec::<Compact>::new().output_bits();
-    let relmsg = JustesenCodec::<RelMsg>::new().output_bits();
     BandwidthModel::Congest {
-        bits_per_edge: compact.max(relmsg),
+        bits_per_edge: coded_bits::<Compact>().max(coded_bits::<RelMsg>()),
     }
 }
 

@@ -130,6 +130,18 @@ impl GaloisField {
     pub fn alpha_pow(&self, i: usize) -> u16 {
         self.exp[i % (self.size - 1)]
     }
+
+    /// The antilog table: entry `i` is `α^i` for `0 ≤ i < 2(2^m − 1)`,
+    /// doubled so the sum of two logs indexes it without a reduction.
+    pub(crate) fn exp_table(&self) -> &[u16] {
+        &self.exp
+    }
+
+    /// The log table: entry `a` is `log_α a` for `a ≠ 0` (entry 0 is
+    /// unused).
+    pub(crate) fn log_table(&self) -> &[u16] {
+        &self.log
+    }
 }
 
 #[cfg(test)]

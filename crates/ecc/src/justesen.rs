@@ -18,17 +18,82 @@
 //!   defaults to [`crate::linear::RandomLinearCode`] instead.
 
 use crate::gf::GaloisField;
-use crate::rs_decode::{berlekamp_welch, DecodeError};
+use crate::rs_decode::{berlekamp_welch, DecodeError, ErrorUnit};
 use crate::BinaryCode;
+use std::cell::RefCell;
+use std::sync::Arc;
+
+pub mod reference;
 
 /// A Justesen-style concatenated code.
+///
+/// Cloning is a reference-count bump: the field and per-code tables are
+/// built once in [`JustesenCode::new`] and shared.
 #[derive(Debug, Clone)]
 pub struct JustesenCode {
-    field: GaloisField,
+    tables: Arc<Tables>,
     /// Outer length `N = 2^m − 1`.
     n_outer: usize,
     /// Outer dimension `K`.
     k_outer: usize,
+}
+
+/// The per-code tables, shared by every clone of a [`JustesenCode`].
+#[derive(Debug)]
+struct Tables {
+    field: GaloisField,
+    /// `α⁰ … α^{N−1}`: the outer evaluation points, which are also the
+    /// inner Wozencraft multipliers.
+    points: Vec<u16>,
+}
+
+/// Marks a zero symbol in a log buffer (logs of non-zero elements are
+/// below `2^m − 1 ≤ u16::MAX`).
+const ZERO_LOG: u16 = u16::MAX;
+
+/// Per-thread encode/decode scratch, reused across calls.
+#[derive(Debug)]
+struct Scratch {
+    /// Inner-decoded outer symbols `cᵢ`.
+    symbols: Vec<u16>,
+    /// `log cᵢ`, or [`ZERO_LOG`].
+    logs: Vec<u16>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            symbols: Vec::new(),
+            logs: Vec::new(),
+        })
+    };
+}
+
+/// `log_α c`, or [`ZERO_LOG`] for `c = 0`.
+fn log_or_zero(log: &[u16], c: u16) -> u16 {
+    if c == 0 {
+        ZERO_LOG
+    } else {
+        log[c as usize]
+    }
+}
+
+/// `Σᵢ cᵢ·α^{i·step}` for symbols given by their logs (`step < n`,
+/// exponents taken mod `n = 2^m − 1`). This is the transform behind
+/// encoding (evaluation at `α^step`), the syndromes and the inverse.
+fn power_sum(exp: &[u16], logs: &[u16], step: usize, n: usize) -> u16 {
+    let mut acc = 0u16;
+    let mut pos = 0usize;
+    for &l in logs {
+        if l != ZERO_LOG {
+            acc ^= exp[l as usize + pos];
+        }
+        pos += step;
+        if pos >= n {
+            pos -= n;
+        }
+    }
+    acc
 }
 
 impl JustesenCode {
@@ -45,8 +110,9 @@ impl JustesenCode {
             (1..=n_outer).contains(&k_outer),
             "outer dimension must be in [1, {n_outer}]"
         );
+        let points = (0..n_outer).map(|i| field.alpha_pow(i)).collect();
         JustesenCode {
-            field,
+            tables: Arc::new(Tables { field, points }),
             n_outer,
             k_outer,
         }
@@ -77,16 +143,7 @@ impl JustesenCode {
 
     /// Symbol size `m` in bits.
     pub fn symbol_bits(&self) -> usize {
-        self.field.degree() as usize
-    }
-
-    /// RS evaluation (Horner) of the message polynomial at `x`.
-    fn eval(&self, message: &[u16], x: u16) -> u16 {
-        let mut acc = 0u16;
-        for &c in message.iter().rev() {
-            acc = self.field.add(self.field.mul(acc, x), c);
-        }
-        acc
+        self.tables.field.degree() as usize
     }
 
     /// The certified correction radius in wire *bits*: `⌊(N−K)/2⌋`.
@@ -106,11 +163,25 @@ impl JustesenCode {
     /// [`JustesenCode::certified_correction_radius`] bit flips, and
     /// returns the message repacked into `⌈input_bits/64⌉` words.
     ///
-    /// Inner decoding is brute force over the `2^m` Wozencraft
-    /// codewords `(x, αⁱ·x)` per position (nearest by Hamming cost;
-    /// ties break to the smallest `x`, keeping the decoder
-    /// deterministic); outer decoding is `berlekamp_welch` at the
-    /// evaluation points `α⁰ … α^{N−1}`.
+    /// The decoder checks before it solves:
+    ///
+    /// 1. **Inner.** A block `(y₁, y₂)` at position `i` with
+    ///    `y₂ = αⁱ·y₁` is a Wozencraft codeword at Hamming cost 0, so it
+    ///    decodes to `y₁` at once. Any other block is decoded by brute
+    ///    force over the `2^m` codewords `(x, αⁱ·x)` (nearest by Hamming
+    ///    cost; ties break to the smallest `x`, keeping the decoder
+    ///    deterministic).
+    /// 2. **Outer check.** The outer code evaluates at all of
+    ///    `α⁰ … α^{N−1}`, so it is cyclic: the symbols `cᵢ` form a
+    ///    codeword iff the syndromes `S_j = Σᵢ cᵢ·α^{ij}` vanish for
+    ///    `j = 1 … N−K`. The message is then the inverse transform
+    ///    `f_l = Σᵢ cᵢ·α^{−il}` (`N` is odd, so `N⁻¹ = 1`), in `O(N²)`
+    ///    table lookups.
+    /// 3. **Fallback.** Only a non-zero syndrome runs Berlekamp–Welch
+    ///    at the evaluation points `α⁰ … α^{N−1}` (`O(N³)`).
+    ///
+    /// The result equals [`reference::decode`], which solves every
+    /// word, on every input.
     ///
     /// # Errors
     ///
@@ -126,55 +197,76 @@ impl JustesenCode {
                 actual: received.len() * 64,
             });
         }
-        let capacity = self.certified_correction_radius();
-        // Inner decode: nearest Wozencraft codeword at each position.
-        let mut symbols = Vec::with_capacity(self.n_outer);
-        for i in 0..self.n_outer {
-            let y1 = get_bits(received, 2 * i * m, m);
-            let y2 = get_bits(received, (2 * i + 1) * m, m);
-            let mult = self.field.alpha_pow(i);
-            let mut best = 0u16;
-            let mut best_cost = usize::MAX;
-            for x in 0..self.field.size() {
-                let x = x as u16;
-                let cost = (x ^ y1).count_ones() as usize
-                    + (self.field.mul(mult, x) ^ y2).count_ones() as usize;
-                if cost < best_cost {
-                    best = x;
-                    best_cost = cost;
-                }
-            }
-            symbols.push(best);
-        }
-        // Outer decode at the same points the encoder evaluated.
-        let points: Vec<u16> = (0..self.n_outer).map(|i| self.field.alpha_pow(i)).collect();
-        let message = berlekamp_welch(&self.field, &points, &symbols, self.k_outer)
-            .ok_or(DecodeError::BeyondCapacity { capacity })?;
+        let Tables { field, points } = &*self.tables;
+        let (exp, log) = (field.exp_table(), field.log_table());
+        let (n, k) = (self.n_outer, self.k_outer);
         let mut out = vec![0u64; self.input_bits().div_ceil(64)];
-        for (i, &s) in message.iter().enumerate() {
-            set_bits(&mut out, i * m, m, s);
-        }
+        SCRATCH.with_borrow_mut(|Scratch { symbols, logs }| {
+            symbols.clear();
+            logs.clear();
+            for (i, &mult) in points.iter().enumerate() {
+                let y1 = get_bits(received, 2 * i * m, m);
+                let y2 = get_bits(received, (2 * i + 1) * m, m);
+                let c = if field.mul(mult, y1) == y2 {
+                    y1
+                } else {
+                    nearest_inner(field, mult, y1, y2)
+                };
+                symbols.push(c);
+                logs.push(log_or_zero(log, c));
+            }
+            if (1..=n - k).all(|j| power_sum(exp, logs, j, n) == 0) {
+                for l in 0..k {
+                    set_bits(&mut out, l * m, m, power_sum(exp, logs, (n - l) % n, n));
+                }
+                return Ok(());
+            }
+            let message =
+                berlekamp_welch(field, points, symbols, k).ok_or(DecodeError::BeyondCapacity {
+                    capacity: self.certified_correction_radius(),
+                    unit: ErrorUnit::Bits,
+                })?;
+            for (l, &f) in message.iter().enumerate() {
+                set_bits(&mut out, l * m, m, f);
+            }
+            Ok(())
+        })?;
         Ok(out)
     }
 }
 
-fn get_bits(words: &[u64], start: usize, count: usize) -> u16 {
-    let mut v = 0u16;
-    for b in 0..count {
-        let idx = start + b;
-        if (words[idx / 64] >> (idx % 64)) & 1 == 1 {
-            v |= 1 << b;
+/// The nearest Wozencraft codeword `(x, mult·x)` to `(y1, y2)` by
+/// Hamming cost, ties to the smallest `x`.
+fn nearest_inner(field: &GaloisField, mult: u16, y1: u16, y2: u16) -> u16 {
+    let mut best = 0u16;
+    let mut best_cost = u32::MAX;
+    for x in 0..field.size() as u16 {
+        let cost = (x ^ y1).count_ones() + (field.mul(mult, x) ^ y2).count_ones();
+        if cost < best_cost {
+            best = x;
+            best_cost = cost;
         }
     }
-    v
+    best
 }
 
+/// Reads `count ≤ 16` bits starting at bit `start`.
+fn get_bits(words: &[u64], start: usize, count: usize) -> u16 {
+    let (w, off) = (start / 64, start % 64);
+    let mut v = words[w] >> off;
+    if off + count > 64 {
+        v |= words[w + 1] << (64 - off);
+    }
+    (v & ((1u64 << count) - 1)) as u16
+}
+
+/// ORs the low `count ≤ 16` bits of `value` in at bit `start`.
 fn set_bits(words: &mut [u64], start: usize, count: usize, value: u16) {
-    for b in 0..count {
-        if (value >> b) & 1 == 1 {
-            let idx = start + b;
-            words[idx / 64] |= 1 << (idx % 64);
-        }
+    let (w, off) = (start / 64, start % 64);
+    let v = u64::from(value) & ((1u64 << count) - 1);
+    words[w] |= v << off;
+    if off + count > 64 {
+        words[w + 1] |= v >> (64 - off);
     }
 }
 
@@ -194,21 +286,22 @@ impl BinaryCode for JustesenCode {
             "message too short for {} bits",
             self.input_bits()
         );
-        // Unpack K symbols.
-        let symbols: Vec<u16> = (0..self.k_outer)
-            .map(|i| get_bits(message, i * m, m))
-            .collect();
-        // Outer RS encoding at points α^0 .. α^{N-1}, inner Wozencraft
-        // map x ↦ (x, α^i·x) at position i.
+        let Tables { field, points } = &*self.tables;
+        let (exp, log) = (field.exp_table(), field.log_table());
+        let n = self.n_outer;
         let mut out = vec![0u64; self.output_bits().div_ceil(64)];
-        for i in 0..self.n_outer {
-            let point = self.field.alpha_pow(i);
-            let c = self.eval(&symbols, point);
-            let inner_mult = self.field.alpha_pow(i);
-            let paired = self.field.mul(inner_mult, c);
-            set_bits(&mut out, 2 * i * m, m, c);
-            set_bits(&mut out, (2 * i + 1) * m, m, paired);
-        }
+        SCRATCH.with_borrow_mut(|Scratch { logs, .. }| {
+            // Unpack the K message symbols as logs.
+            logs.clear();
+            logs.extend((0..self.k_outer).map(|l| log_or_zero(log, get_bits(message, l * m, m))));
+            // Outer RS encoding at points α^0 .. α^{N-1}, inner
+            // Wozencraft map x ↦ (x, α^i·x) at position i.
+            for (i, &mult) in points.iter().enumerate() {
+                let c = power_sum(exp, logs, i, n);
+                set_bits(&mut out, 2 * i * m, m, c);
+                set_bits(&mut out, (2 * i + 1) * m, m, field.mul(mult, c));
+            }
+        });
         out
     }
 }
@@ -383,5 +476,24 @@ mod tests {
             Err(e) => assert_eq!(e.capacity(), Some(c.certified_correction_radius())),
             Ok(decoded) => assert_ne!(decoded, msg),
         }
+    }
+
+    #[test]
+    fn beyond_capacity_message_counts_bits() {
+        let c = JustesenCode::rate_one_third(5);
+        let cw = vec![u64::MAX; c.output_bits().div_ceil(64)];
+        let err = c
+            .decode(&cw)
+            .expect_err("all-ones word is far from the code");
+        assert_eq!(
+            err.to_string(),
+            "received word is not decodable within 5 bit errors"
+        );
+    }
+
+    #[test]
+    fn clones_share_tables() {
+        let c = JustesenCode::rate_one_third(5);
+        assert!(Arc::ptr_eq(&c.tables, &c.clone().tables));
     }
 }

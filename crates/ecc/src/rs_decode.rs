@@ -13,13 +13,31 @@
 //! The solver core (`berlekamp_welch`) is parameterized by the
 //! evaluation points, because [`crate::rs::RsCode`] and the outer code
 //! of [`crate::justesen::JustesenCode`] evaluate at *different* point
-//! sequences (`0, α⁰, α¹, …` versus `α⁰ … α^{N−1}`); both decoders
-//! share it.
+//! sequences (`0, α⁰, α¹, …` versus `α⁰ … α^{N−1}`). The two decoders
+//! call it in different orders:
+//!
+//! * [`RsCode::decode`] solves every word.
+//! * [`crate::justesen::JustesenCode::decode`] checks first. Its outer
+//!   points are all of `α⁰ … α^{N−1}`, so the outer code is cyclic and
+//!   a word is a codeword iff its `N−K` syndromes vanish. A clean word's
+//!   message is then read off by the inverse transform, and only a word
+//!   with a non-zero syndrome reaches the solver here. The result is
+//!   the same as solving every word
+//!   ([`crate::justesen::reference::decode`]).
 
 use crate::gf::GaloisField;
 use crate::rs::RsCode;
 use std::error::Error;
 use std::fmt;
+
+/// What the capacity of a [`DecodeError::BeyondCapacity`] counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorUnit {
+    /// Code symbols over `GF(2^m)` ([`crate::rs::RsCode`]).
+    Symbols,
+    /// Wire bits ([`crate::justesen::JustesenCode`]).
+    Bits,
+}
 
 /// Decoding failure. Decoders must be total on adversarial input —
 /// coded protocol paths feed them whatever arrives off the wire — so
@@ -28,10 +46,12 @@ use std::fmt;
 pub enum DecodeError {
     /// More errors than the code can correct (or an inconsistent word).
     BeyondCapacity {
-        /// The maximum number of errors the code can correct — outer
-        /// *symbols* for [`crate::rs::RsCode`], wire *bits* for
-        /// [`crate::justesen::JustesenCode`].
+        /// The maximum number of errors the code can correct, counted
+        /// in `unit`.
         capacity: usize,
+        /// Symbols for [`crate::rs::RsCode`], wire bits for
+        /// [`crate::justesen::JustesenCode`].
+        unit: ErrorUnit,
     },
     /// The received word has the wrong length — exactly `N` symbols for
     /// [`crate::rs::RsCode`], at least `output_bits` bits for
@@ -51,7 +71,7 @@ impl DecodeError {
     /// undecodable case.
     pub fn capacity(&self) -> Option<usize> {
         match self {
-            DecodeError::BeyondCapacity { capacity } => Some(*capacity),
+            DecodeError::BeyondCapacity { capacity, .. } => Some(*capacity),
             DecodeError::WrongLength { .. } => None,
         }
     }
@@ -60,10 +80,16 @@ impl DecodeError {
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecodeError::BeyondCapacity { capacity } => write!(
-                f,
-                "received word is not decodable within {capacity} symbol errors"
-            ),
+            DecodeError::BeyondCapacity { capacity, unit } => {
+                let unit = match unit {
+                    ErrorUnit::Symbols => "symbol",
+                    ErrorUnit::Bits => "bit",
+                };
+                write!(
+                    f,
+                    "received word is not decodable within {capacity} {unit} errors"
+                )
+            }
             DecodeError::WrongLength { expected, actual } => write!(
                 f,
                 "received word has length {actual}, decoder requires {expected}"
@@ -170,9 +196,10 @@ fn eval_poly(field: &GaloisField, coeffs: &[u16], x: u16) -> u16 {
 /// `received`, returning its `k` coefficients (low-order first).
 /// Returns `None` when no codeword lies within the error capacity.
 ///
-/// Shared by [`RsCode::decode`] and
-/// [`crate::justesen::JustesenCode::decode`], whose outer codes use
-/// different point sequences.
+/// Solves every word for [`RsCode::decode`] and
+/// [`crate::justesen::reference::decode`], and only the words with a
+/// non-zero syndrome for [`crate::justesen::JustesenCode::decode`];
+/// the outer codes use different point sequences.
 pub(crate) fn berlekamp_welch(
     field: &GaloisField,
     points: &[u16],
@@ -255,9 +282,12 @@ impl RsCode<'_> {
                 actual: received.len(),
             });
         }
-        let capacity = (n - k) / 2;
-        berlekamp_welch(self.field(), self.points(), received, k)
-            .ok_or(DecodeError::BeyondCapacity { capacity })
+        berlekamp_welch(self.field(), self.points(), received, k).ok_or(
+            DecodeError::BeyondCapacity {
+                capacity: (n - k) / 2,
+                unit: ErrorUnit::Symbols,
+            },
+        )
     }
 }
 
@@ -321,8 +351,28 @@ mod tests {
                 let d = re.iter().zip(&cw).filter(|(a, b)| a != b).count();
                 assert!(d <= 4);
             }
-            Err(e) => assert_eq!(e, DecodeError::BeyondCapacity { capacity: 4 }),
+            Err(e) => assert_eq!(
+                e,
+                DecodeError::BeyondCapacity {
+                    capacity: 4,
+                    unit: ErrorUnit::Symbols
+                }
+            ),
         }
+    }
+
+    #[test]
+    fn beyond_capacity_message_counts_symbols() {
+        let (f, _) = setup();
+        let rs = RsCode::new(&f, 16, 8); // e = 4
+                                         // Nine distinct non-zero symbols, the rest zero: not within 4 of
+                                         // any codeword.
+        let word: Vec<u16> = (1..=16).map(|i| if i <= 9 { i } else { 0 }).collect();
+        let err = rs.decode(&word).expect_err("beyond e = 4");
+        assert_eq!(
+            err.to_string(),
+            "received word is not decodable within 4 symbol errors"
+        );
     }
 
     #[test]

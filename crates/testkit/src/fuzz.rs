@@ -15,7 +15,7 @@
 
 use dut_congest::{robust_bandwidth_model, solve_token_packaging_robust, PackagingError};
 use dut_ecc::rs_decode::DecodeError;
-use dut_ecc::{BinaryCode, GaloisField, JustesenCode};
+use dut_ecc::{justesen, BinaryCode, GaloisField, JustesenCode};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::topology::Topology;
 use dut_obs::sink::NoopSink;
@@ -55,10 +55,18 @@ pub struct CodecFuzzReport {
     /// Cases fed a wrong-length word (must yield
     /// [`DecodeError::WrongLength`]).
     pub wrong_length: usize,
+    /// Cases whose corruption replaced whole inner blocks with other
+    /// valid inner codewords (Justesen only; also counted as within or
+    /// beyond the radius by their outer symbol errors).
+    pub block_swaps: usize,
     /// Contract violations: a within-radius case that did not decode to
     /// the original message, or a wrong-length case without the typed
     /// error. Must be zero.
     pub wrong_decodes: usize,
+    /// Cases where the decoder's result (message or error) differed
+    /// from its retained reference decoder (Justesen only). Must be
+    /// zero.
+    pub reference_mismatches: usize,
     /// Decoder panics. Must be zero — decode is total by contract.
     pub panics: usize,
 }
@@ -68,7 +76,7 @@ impl CodecFuzzReport {
     /// and every corruption regime was exercised.
     pub fn assert_contract(&self) {
         assert!(
-            self.panics == 0 && self.wrong_decodes == 0,
+            self.panics == 0 && self.wrong_decodes == 0 && self.reference_mismatches == 0,
             "codec fuzz contract violated: {self:?}"
         );
         assert!(
@@ -136,7 +144,7 @@ pub fn fuzz_rs_codec(seed: u64, cases: usize) -> CodecFuzzReport {
                 } else {
                     report.beyond_radius += 1;
                     match outcome {
-                        Err(DecodeError::BeyondCapacity { capacity: c }) if c == capacity => {
+                        Err(DecodeError::BeyondCapacity { capacity: c, .. }) if c == capacity => {
                             report.beyond_rejected += 1;
                         }
                         // Legal: the corrupted word landed within
@@ -152,21 +160,35 @@ pub fn fuzz_rs_codec(seed: u64, cases: usize) -> CodecFuzzReport {
     report
 }
 
-/// Fuzzes [`JustesenCode`] encode→bit-flip→decode round-trips.
+/// Fuzzes [`JustesenCode`] encode→corrupt→decode round-trips against
+/// the retained reference decoder ([`justesen::reference::decode`]).
 ///
-/// Each case draws a rate-1/3 instance over `GF(2^m)` (`3 ≤ m ≤ 5`), a
-/// random message, and either a truncated wire word (~1 in 16) or `t`
-/// distinct wire-bit flips with `t` from clean through past the
-/// certified correction radius.
+/// Each case draws a rate-1/3 instance over `GF(2^m)` (`3 ≤ m ≤ 6`), a
+/// random message, and one of three corruptions:
+///
+/// * a truncated wire word (~1 in 16);
+/// * `t` distinct wire-bit flips, `t` from clean through past the
+///   certified correction radius (~11 in 16);
+/// * `s` whole inner blocks replaced by *other valid* Wozencraft pairs
+///   `(x, αⁱ·x)` (~4 in 16): every inner block decodes at cost 0 but the
+///   outer word carries `s` symbol errors, so its syndrome is non-zero.
+///   `s` runs from 1 through `N−K`, past the outer capacity.
+///
+/// Every case must return bit-for-bit the reference decoder's result,
+/// `Ok` or `Err`. Corruption within the certified capacity (`t` bits or
+/// `s` blocks) must also round-trip exactly.
 pub fn fuzz_justesen_codec(seed: u64, cases: usize) -> CodecFuzzReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut report = CodecFuzzReport {
         cases,
         ..CodecFuzzReport::default()
     };
+    let codes: Vec<(JustesenCode, GaloisField)> = (3..=6u32)
+        .map(|m| (JustesenCode::rate_one_third(m), GaloisField::new(m)))
+        .collect();
     for _ in 0..cases {
-        let m = rng.gen_range(3..=5u32);
-        let code = JustesenCode::rate_one_third(m);
+        let (code, field) = &codes[rng.gen_range(0..codes.len())];
+        let m = code.symbol_bits();
         let in_bits = code.input_bits();
         let out_bits = code.output_bits();
         let radius = code.certified_correction_radius();
@@ -179,46 +201,64 @@ pub fn fuzz_justesen_codec(seed: u64, cases: usize) -> CodecFuzzReport {
         }
         let mut word = code.encode(&message);
 
-        if rng.gen_range(0..16u32) == 0 {
+        let regime = rng.gen_range(0..16u32);
+        let within = if regime == 0 {
             report.wrong_length += 1;
             word.pop();
-            match catch_unwind(AssertUnwindSafe(|| code.decode(&word))) {
-                Ok(Err(DecodeError::WrongLength { expected, .. })) => {
-                    if expected != out_bits {
-                        report.wrong_decodes += 1;
-                    }
+            None
+        } else if regime <= 4 {
+            // XOR a non-zero valid pair (d, αⁱ·d) into block i: the
+            // block stays a Wozencraft codeword, for another symbol.
+            report.block_swaps += 1;
+            let n = code.outer_length();
+            let s = rng.gen_range(1..=n - code.outer_dimension());
+            for i in distinct_positions(&mut rng, n, s) {
+                let d = rng.gen_range(1..field.size()) as u64;
+                let pair = d | u64::from(field.mul(field.alpha_pow(i), d as u16)) << m;
+                for b in 0..2 * m {
+                    let bit = 2 * i * m + b;
+                    word[bit / 64] ^= ((pair >> b) & 1) << (bit % 64);
                 }
-                Ok(_) => report.wrong_decodes += 1,
-                Err(_) => report.panics += 1,
             }
-            continue;
-        }
+            Some(s <= radius)
+        } else {
+            let t = rng.gen_range(0..=radius + radius / 2 + 2);
+            for &bit in &distinct_positions(&mut rng, out_bits, t.min(out_bits)) {
+                word[bit / 64] ^= 1u64 << (bit % 64);
+            }
+            Some(t <= radius)
+        };
 
-        let t = rng.gen_range(0..=radius + radius / 2 + 2);
-        for &bit in &distinct_positions(&mut rng, out_bits, t.min(out_bits)) {
-            word[bit / 64] ^= 1u64 << (bit % 64);
+        let fast = catch_unwind(AssertUnwindSafe(|| code.decode(&word)));
+        let reference = catch_unwind(AssertUnwindSafe(|| {
+            justesen::reference::decode(code, &word)
+        }));
+        let (Ok(outcome), Ok(expected)) = (fast, reference) else {
+            report.panics += 1;
+            continue;
+        };
+        if outcome != expected {
+            report.reference_mismatches += 1;
         }
-        match catch_unwind(AssertUnwindSafe(|| code.decode(&word))) {
-            Ok(outcome) => {
-                if t <= radius {
-                    report.within_radius += 1;
-                    if outcome.as_deref() != Ok(&message[..]) {
-                        report.wrong_decodes += 1;
-                    }
-                } else {
-                    report.beyond_radius += 1;
-                    match outcome {
-                        Err(DecodeError::BeyondCapacity { .. }) => report.beyond_rejected += 1,
-                        Ok(other) if other != message => {}
-                        // Decoding back to the original from beyond the
-                        // *certified* radius is possible (the radius is
-                        // a lower bound on real correction power).
-                        Ok(_) => {}
-                        Err(DecodeError::WrongLength { .. }) => report.wrong_decodes += 1,
-                    }
+        match (within, outcome) {
+            (None, Err(DecodeError::WrongLength { expected, .. })) if expected == out_bits => {}
+            (None, _) => report.wrong_decodes += 1,
+            (Some(true), outcome) => {
+                report.within_radius += 1;
+                if outcome.as_deref() != Ok(&message[..]) {
+                    report.wrong_decodes += 1;
                 }
             }
-            Err(_) => report.panics += 1,
+            (Some(false), outcome) => {
+                report.beyond_radius += 1;
+                match outcome {
+                    Err(DecodeError::BeyondCapacity { .. }) => report.beyond_rejected += 1,
+                    // Another codeword, or the original: the certified
+                    // radius is a lower bound on real correction power.
+                    Ok(_) => {}
+                    Err(DecodeError::WrongLength { .. }) => report.wrong_decodes += 1,
+                }
+            }
         }
     }
     report
