@@ -1,6 +1,8 @@
-//! Criterion bench: planning and running the 0-round testers (E3/E4).
+//! Criterion bench: planning and running the 0-round testers (E3/E4)
+//! and the asymmetric threshold tester (E5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dut_core::asymmetric::{AsymmetricThresholdTester, CostVector};
 use dut_core::zero_round::{AndNetworkTester, ThresholdNetworkTester};
 use dut_distributions::DiscreteDistribution;
 use rand::rngs::StdRng;
@@ -33,6 +35,16 @@ fn bench_network_run(c: &mut Criterion) {
             });
         }
     }
+    // The `mc_estimate` shape: §4.2's asymmetric threshold tester on
+    // E5's uniform costs, one network run per iteration.
+    let n = 1 << 20;
+    let k = 150_000;
+    let asym = AsymmetricThresholdTester::plan(n, &CostVector::uniform(k), 0.5, 1.0 / 3.0).unwrap();
+    let uniform = DiscreteDistribution::uniform(n);
+    group.bench_with_input(BenchmarkId::new("asymmetric_run", k), &k, |b, _| {
+        let mut rng = StdRng::seed_from_u64(6);
+        b.iter(|| black_box(asym.run(&uniform, &mut rng)))
+    });
     group.finish();
 }
 

@@ -18,6 +18,7 @@ use crate::decision::{Decision, DecisionRule, NetworkOutcome};
 use crate::error::PlanError;
 use crate::gap::GapTester;
 use crate::params::{c_p, gamma_slack, normal_quantile};
+use crate::scratch::TesterScratch;
 use dut_distributions::SampleOracle;
 use rand::Rng;
 
@@ -247,18 +248,21 @@ impl AsymmetricThresholdTester {
             .collect()
     }
 
-    /// Simulates one run of the network.
+    /// Simulates one run of the network. Every node runs through one
+    /// shared [`TesterScratch`], so a run allocates the same two buffers
+    /// at any `k`; draws and decisions are those of per-node
+    /// [`GapTester::run`] calls.
     pub fn run<O, R>(&self, oracle: &O, rng: &mut R) -> NetworkOutcome
     where
         O: SampleOracle + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut rejecting = 0usize;
-        for t in self.node_testers.iter().flatten() {
-            if t.run(oracle, rng) == Decision::Reject {
-                rejecting += 1;
-            }
-        }
+        let testers = self.node_testers.iter().flatten();
+        let max_samples = testers.clone().map(GapTester::samples).max().unwrap_or(0);
+        let mut scratch = TesterScratch::with_capacity(oracle.domain_size(), max_samples);
+        let rejecting = testers
+            .filter(|t| t.run_with_scratch(oracle, rng, &mut scratch) == Decision::Reject)
+            .count();
         NetworkOutcome {
             decision: DecisionRule::Threshold(self.threshold).decide(rejecting),
             rejecting_nodes: rejecting,
@@ -443,18 +447,19 @@ impl AsymmetricAndTester {
             .collect()
     }
 
-    /// Simulates one run of the network under the AND rule.
+    /// Simulates one run of the network under the AND rule; every node
+    /// shares one [`TesterScratch`].
     pub fn run<O, R>(&self, oracle: &O, rng: &mut R) -> NetworkOutcome
     where
         O: SampleOracle + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut rejecting = 0usize;
-        for t in self.node_testers.iter().flatten() {
-            if t.run(oracle, rng) == Decision::Reject {
-                rejecting += 1;
-            }
-        }
+        let testers = self.node_testers.iter().flatten();
+        let max_samples = testers.clone().map(|t| t.samples()).max().unwrap_or(0);
+        let mut scratch = TesterScratch::with_capacity(oracle.domain_size(), max_samples);
+        let rejecting = testers
+            .filter(|t| t.run_with_scratch(oracle, rng, &mut scratch) == Decision::Reject)
+            .count();
         NetworkOutcome {
             decision: DecisionRule::And.decide(rejecting),
             rejecting_nodes: rejecting,

@@ -14,8 +14,10 @@
 //! * **Fixed chunk geometry.** Trials are partitioned into contiguous
 //!   chunks whose size is a pure function of the trial count (or an
 //!   explicit [`MonteCarloConfig::chunk_size`]) — never of the thread
-//!   count. Workers claim whole chunks from an atomic counter
-//!   (work-stealing: a fast worker simply claims more chunks).
+//!   count; [`auto_chunk_size`] goes down to one trial per chunk, so a
+//!   few costly trials still occupy every worker. Workers claim whole
+//!   chunks from an atomic counter (work-stealing: a fast worker simply
+//!   claims more chunks).
 //! * **Order-independent reduction.** Each chunk produces a failure
 //!   count and (for observed runs) a private [`MemorySink`]. Failure
 //!   counts add and sinks merge element-wise — both commutative and
@@ -74,12 +76,12 @@ pub fn default_threads() -> usize {
 }
 
 /// The chunk size the automatic policy picks for `trials`: about 64
-/// chunks per run, clamped to `[16, `[`MAX_AUTO_CHUNK`]`]` and never
-/// larger than the run. A pure function of `trials` — deliberately
-/// independent of thread count — so chunk geometry (and therefore
-/// checkpoint layout) is reproducible.
+/// chunks per run, clamped to `[1, `[`MAX_AUTO_CHUNK`]`]`, so a 4-trial
+/// estimate is 4 chunks that spread across every worker. A pure
+/// function of `trials` — deliberately independent of thread count — so
+/// chunk geometry (and therefore checkpoint layout) is reproducible.
 pub fn auto_chunk_size(trials: usize) -> usize {
-    (trials / 64).clamp(16, MAX_AUTO_CHUNK).min(trials.max(1))
+    (trials / 64).clamp(1, MAX_AUTO_CHUNK)
 }
 
 /// The α the adaptive confidence sequence spends across its looks: the
@@ -568,8 +570,8 @@ mod tests {
     #[test]
     fn auto_chunks_are_a_pure_function_of_trials() {
         assert_eq!(auto_chunk_size(1), 1);
-        assert_eq!(auto_chunk_size(10), 10);
-        assert_eq!(auto_chunk_size(40), 16);
+        assert_eq!(auto_chunk_size(10), 1);
+        assert_eq!(auto_chunk_size(40), 1);
         assert_eq!(auto_chunk_size(20_000), 312);
         assert_eq!(auto_chunk_size(400_000), MAX_AUTO_CHUNK);
     }
@@ -578,7 +580,7 @@ mod tests {
     fn resolved_chunk_size_clamps_to_trials() {
         let cfg = MonteCarloConfig::auto().chunk_size(1 << 20);
         assert_eq!(cfg.resolved_chunk_size(100), 100);
-        assert_eq!(MonteCarloConfig::auto().resolved_chunk_size(5), 5);
+        assert_eq!(MonteCarloConfig::auto().resolved_chunk_size(5), 1);
     }
 
     #[test]

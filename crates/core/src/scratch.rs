@@ -1,15 +1,15 @@
 //! Reusable per-trial buffers for Monte-Carlo-scale simulation.
 //!
 //! A single tester run is cheap; the experiments run millions of them.
-//! The allocating entry points ([`crate::gap::GapTester::run`] and
-//! friends) create a sample `Vec` and a sort buffer per trial, which at
-//! Monte-Carlo scale turns the allocator into the bottleneck. Each
-//! tester therefore has a `run_with_scratch` variant threading a
-//! [`TesterScratch`] through, so steady-state trials touch the heap only
-//! to grow buffers they then keep. Decisions are bit-identical to the
-//! allocating variants: the same sample stream is drawn and the
-//! generation-stamped collision detector agrees exactly with the sorting
-//! one.
+//! The single-node `run`s (`GapTester`, `RepeatedGapTester`) create a
+//! sample `Vec` and a sort buffer per call, which at Monte-Carlo scale
+//! turns the allocator into the bottleneck. Each tester therefore has a
+//! `run_with_scratch` variant threading a [`TesterScratch`] through; the
+//! multi-node 0-round testers' `run`s build one per network run and
+//! pass it through every node, so a run allocates the same two buffers
+//! at any node count. Decisions are bit-identical to the allocating
+//! paths: the same sample stream is drawn and the marking-table
+//! collision detector agrees exactly with the sorting one.
 //!
 //! Pair with [`crate::montecarlo::estimate_failure_rate_with_state`],
 //! which gives every worker thread its own scratch:

@@ -84,27 +84,20 @@ impl AndNetworkTester {
     }
 
     /// Simulates one full run: all `k` nodes independently draw their
-    /// samples from `oracle` and vote; the AND rule aggregates.
+    /// samples from `oracle` and vote; the AND rule aggregates. Every
+    /// node shares one [`TesterScratch`] built for this run.
     pub fn run<O, R>(&self, oracle: &O, rng: &mut R) -> NetworkOutcome
     where
         O: SampleOracle + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut rejecting = 0usize;
-        for _ in 0..self.plan.k {
-            if self.node_tester.run(oracle, rng) == Decision::Reject {
-                rejecting += 1;
-            }
-        }
-        NetworkOutcome {
-            decision: DecisionRule::And.decide(rejecting),
-            rejecting_nodes: rejecting,
-            nodes: self.plan.k,
-        }
+        let samples = self.plan.samples_per_run;
+        let mut scratch = TesterScratch::with_capacity(oracle.domain_size(), samples);
+        self.run_with_scratch(oracle, rng, &mut scratch)
     }
 
-    /// [`AndNetworkTester::run`] with caller-owned buffers: same
-    /// decisions and RNG stream, no per-node allocation.
+    /// [`AndNetworkTester::run`] with caller-owned buffers, for callers
+    /// that run many networks: same decisions and RNG stream.
     pub fn run_with_scratch<O, R>(
         &self,
         oracle: &O,
@@ -236,23 +229,20 @@ impl ThresholdNetworkTester {
         self.plan.threshold
     }
 
-    /// Simulates one full run of the `k`-node network.
+    /// Simulates one full run of the `k`-node network. Every node
+    /// shares one [`TesterScratch`] built for this run.
     pub fn run<O, R>(&self, oracle: &O, rng: &mut R) -> NetworkOutcome
     where
         O: SampleOracle + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut rejecting = 0usize;
-        for _ in 0..self.plan.k {
-            if self.node_tester.run(oracle, rng) == Decision::Reject {
-                rejecting += 1;
-            }
-        }
-        self.outcome_from_votes(rejecting)
+        let samples = self.plan.samples_per_node;
+        let mut scratch = TesterScratch::with_capacity(oracle.domain_size(), samples);
+        self.run_with_scratch(oracle, rng, &mut scratch)
     }
 
-    /// [`ThresholdNetworkTester::run`] with caller-owned buffers: same
-    /// decisions and RNG stream, no per-node allocation.
+    /// [`ThresholdNetworkTester::run`] with caller-owned buffers, for
+    /// callers that run many networks: same decisions and RNG stream.
     pub fn run_with_scratch<O, R>(
         &self,
         oracle: &O,

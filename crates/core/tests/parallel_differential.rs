@@ -10,6 +10,7 @@
 //! one.
 
 use dut_core::amplify::RepeatedGapTester;
+use dut_core::asymmetric::{AsymmetricThresholdTester, CostVector};
 use dut_core::decision::Decision;
 use dut_core::gap::GapTester;
 use dut_core::montecarlo::trial_rng;
@@ -75,6 +76,34 @@ fn zero_round_and_network_is_thread_invariant_observed() {
 /// died after k chunks), and require the resumed run — under a
 /// *different* thread count — to reproduce the uninterrupted result
 /// bit for bit, recomputing only the missing chunks.
+#[test]
+fn small_budget_spreads_across_workers_with_the_same_estimate() {
+    // The `mc_estimate` asymmetric shape: 4 network trials. At 2
+    // threads they are 4 one-trial chunks, so both workers get work,
+    // and any chunking gives the serial estimate.
+    let n = 1 << 16;
+    let asym = AsymmetricThresholdTester::plan(n, &CostVector::uniform(1_000), 1.0, 1.0 / 3.0)
+        .expect("plannable");
+    let far = paninski_far(n, 1.0).expect("valid family");
+    let two = MonteCarloConfig::with_threads(2);
+    assert_eq!(4usize.div_ceil(two.resolved_chunk_size(4)), 4);
+    let estimate = |cfg| {
+        MonteCarlo::new(4, 99)
+            .config(cfg)
+            .run(|seed| asym.run(&far, &mut trial_rng(seed)).decision == Decision::Accept)
+            .expect("no checkpoint")
+    };
+    let serial = estimate(MonteCarloConfig::serial());
+    assert_eq!(estimate(two), serial);
+    for chunk in [1, 2, 4] {
+        assert_eq!(
+            estimate(two.chunk_size(chunk)),
+            serial,
+            "chunk size {chunk}"
+        );
+    }
+}
+
 #[test]
 fn checkpoint_kill_resume_round_trips() {
     let n = 1 << 12;
