@@ -48,12 +48,7 @@ lane_testkit() {
 }
 
 lane_feature_matrix() {
-    echo "==> feature-matrix lane (fast-sampling on/off, no-default-features)"
-    # fast-sampling swaps the Monte-Carlo trial generator to BatchRng:
-    # a different (still deterministic) sample stream. The differential
-    # suites must hold on it, not just on the default stream.
-    cargo test --release --workspace --features dut-core/fast-sampling -q \
-        --target-dir target/feature-matrix
+    echo "==> feature-matrix lane (no-default-features)"
     # No defaults: every crate must build and test without any optional
     # feature, so nothing load-bearing hides behind one.
     cargo test --release --workspace --no-default-features -q \

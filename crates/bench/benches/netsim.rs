@@ -28,9 +28,9 @@ use dut_netsim::engine::{
     BandwidthModel, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
 };
 use dut_netsim::graph::NodeId;
-use dut_netsim::reference::{run_reference, run_reference_observed};
+use dut_netsim::reference::run_reference;
 use dut_netsim::topology;
-use dut_obs::{JsonlWriter, MemorySink, RunRecord};
+use dut_obs::{JsonlWriter, MemorySink, NoopSink, RunRecord};
 use std::hint::black_box;
 use std::path::Path;
 
@@ -114,20 +114,35 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("clique256_broadcast/before_reference", |b| {
         b.iter(|| {
             black_box(
-                run_reference(&clique, BandwidthModel::Local, gossip_states(256), 32).unwrap(),
+                run_reference(
+                    &clique,
+                    BandwidthModel::Local,
+                    gossip_states(256),
+                    32,
+                    &mut NoopSink,
+                )
+                .unwrap(),
             )
         })
     });
     group.bench_function("clique256_broadcast/after_flat", |b| {
         let mut net = Network::new(&clique, BandwidthModel::Local);
-        b.iter(|| black_box(net.run(gossip_states(256), 32).unwrap()))
+        let serial = RunOptions::serial();
+        b.iter(|| {
+            let mut scratch = EngineScratch::new();
+            black_box(
+                net.run(gossip_states(256), 32, &serial, &mut scratch, &mut NoopSink)
+                    .unwrap(),
+            )
+        })
     });
     group.bench_function("clique256_broadcast/after_flat_scratch", |b| {
         let mut net = Network::new(&clique, BandwidthModel::Local);
         let mut scratch = EngineScratch::new();
+        let serial = RunOptions::serial();
         b.iter(|| {
             black_box(
-                net.run_with_scratch(gossip_states(256), 32, &mut scratch)
+                net.run(gossip_states(256), 32, &serial, &mut scratch, &mut NoopSink)
                     .unwrap(),
             )
         })
@@ -135,10 +150,10 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("clique256_broadcast/after_flat_parallel", |b| {
         let mut net = Network::new(&clique, BandwidthModel::Local);
         let mut scratch = EngineScratch::new();
-        let options = RunOptions::parallel(0);
+        let par = RunOptions::parallel(0);
         b.iter(|| {
             black_box(
-                net.run_with_options(gossip_states(256), 32, &mut scratch, &options)
+                net.run(gossip_states(256), 32, &par, &mut scratch, &mut NoopSink)
                     .unwrap(),
             )
         })
@@ -150,15 +165,25 @@ fn bench_engine(c: &mut Criterion) {
     let bfs_states = |k: usize| vec![Bfs { dist: None }; k];
     group.bench_function("line4096_bfs/before_reference", |b| {
         b.iter(|| {
-            black_box(run_reference(&line, BandwidthModel::Local, bfs_states(4096), 8192).unwrap())
+            black_box(
+                run_reference(
+                    &line,
+                    BandwidthModel::Local,
+                    bfs_states(4096),
+                    8192,
+                    &mut NoopSink,
+                )
+                .unwrap(),
+            )
         })
     });
     group.bench_function("line4096_bfs/after_flat_scratch", |b| {
         let mut net = Network::new(&line, BandwidthModel::Local);
         let mut scratch = EngineScratch::new();
+        let serial = RunOptions::serial();
         b.iter(|| {
             black_box(
-                net.run_with_scratch(bfs_states(4096), 8192, &mut scratch)
+                net.run(bfs_states(4096), 8192, &serial, &mut scratch, &mut NoopSink)
                     .unwrap(),
             )
         })
@@ -215,7 +240,10 @@ fn bench_primitives(c: &mut Criterion) {
         let values = vec![1u64; k];
         group.bench_with_input(BenchmarkId::new("convergecast", k), &k, |b, _| {
             b.iter(|| {
-                black_box(convergecast_sum(&g, &tree, &values, BandwidthModel::Local).unwrap())
+                black_box(
+                    convergecast_sum(&g, &tree, &values, BandwidthModel::Local, &mut NoopSink)
+                        .unwrap(),
+                )
             })
         });
         let ids: Vec<u64> = (0..k as u64).collect();
@@ -282,7 +310,7 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
 
     // 256-node clique, 8 rounds of all-to-all gossip.
     let clique = topology::complete(256);
-    let r = run_reference_observed(
+    let r = run_reference(
         &clique,
         BandwidthModel::Local,
         gossip_states(256),
@@ -301,7 +329,10 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
     )?;
     sink.reset();
     let mut net = Network::new(&clique, BandwidthModel::Local);
-    let r = net.run_observed(gossip_states(256), 32, &mut sink).unwrap();
+    let (serial, mut scratch) = (RunOptions::serial(), EngineScratch::new());
+    let r = net
+        .run(gossip_states(256), 32, &serial, &mut scratch, &mut sink)
+        .unwrap();
     record(
         &mut w,
         &sink,
@@ -315,7 +346,7 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
     // 4096-node line BFS wavefront.
     let line = topology::line(4096);
     sink.reset();
-    let r = run_reference_observed(
+    let r = run_reference(
         &line,
         BandwidthModel::Local,
         bfs_states(4096),
@@ -336,7 +367,7 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
     let mut net = Network::new(&line, BandwidthModel::Local);
     let mut scratch = EngineScratch::new();
     let r = net
-        .run_with_scratch_observed(bfs_states(4096), 8192, &mut scratch, &mut sink)
+        .run(bfs_states(4096), 8192, &serial, &mut scratch, &mut sink)
         .unwrap();
     record(
         &mut w,

@@ -45,6 +45,7 @@ use dut_netsim::engine::{
 };
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_netsim::topology::{self, Torus2d};
+use dut_obs::NoopSink;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -145,6 +146,7 @@ fn time_netsim_workload(name: &str) -> f64 {
             let clique = topology::complete(256);
             let mut net = Network::new(&clique, BandwidthModel::Local);
             let mut scratch = EngineScratch::new();
+            let serial = RunOptions::serial();
             let states = || -> Vec<Gossip> {
                 (0..256)
                     .map(|v| Gossip {
@@ -154,17 +156,27 @@ fn time_netsim_workload(name: &str) -> f64 {
                     .collect()
             };
             median_ms(SAMPLES, || {
-                black_box(net.run_with_scratch(states(), 32, &mut scratch).unwrap());
+                black_box(
+                    net.run(states(), 32, &serial, &mut scratch, &mut NoopSink)
+                        .unwrap(),
+                );
             })
         }
         "line4096_bfs" => {
             let line = topology::line(4096);
             let mut net = Network::new(&line, BandwidthModel::Local);
             let mut scratch = EngineScratch::new();
+            let serial = RunOptions::serial();
             median_ms(SAMPLES, || {
                 black_box(
-                    net.run_with_scratch(vec![Bfs { dist: None }; 4096], 8192, &mut scratch)
-                        .unwrap(),
+                    net.run(
+                        vec![Bfs { dist: None }; 4096],
+                        8192,
+                        &serial,
+                        &mut scratch,
+                        &mut NoopSink,
+                    )
+                    .unwrap(),
                 );
             })
         }
@@ -215,7 +227,7 @@ fn time_torus_1m_gossip(sharded: bool) -> f64 {
     };
     median_ms(3, || {
         black_box(
-            net.run_with_options(torus_1m_states(k), 8, &mut scratch, &opts)
+            net.run(torus_1m_states(k), 8, &opts, &mut scratch, &mut NoopSink)
                 .unwrap(),
         );
     })
@@ -333,8 +345,8 @@ impl ReferenceAlias {
 /// Times the batched sampling kernels against their scalar references:
 /// the frozen seed kernel ([`ReferenceAlias`]) and today's per-draw
 /// [`DiscreteDistribution::sample`], both on `StdRng` (the default
-/// path), vs [`DiscreteDistribution::sample_batch`] on [`BatchRng`]
-/// (the `fast-sampling` path); and sort-based collision detection vs
+/// path), vs [`DiscreteDistribution::sample_batch`] on the
+/// counter-based [`BatchRng`]; and sort-based collision detection vs
 /// the bitset [`CollisionScratch`]. Bit/verdict agreement between the
 /// live paths is proven by the differential test suites; the reference
 /// kernel's draw-identity with the live sampler is asserted here
@@ -495,7 +507,7 @@ fn montecarlo_json(m: &McMeasurement) -> String {
 fn sampling_json(m: &SamplingMeasurement) -> String {
     format!(
         r#"{{
-  "description": "Batched sampling kernels vs their scalar references: 2^20 alias-table draws from a 2^16-element power-law pmf, and collision detection over 20k sets of 81 uniform samples (sort-based has_collision vs the adaptive CollisionScratch (one-pass generation stamps below 2^19 domains, u64 bitset above)). The alias speedup gate compares DiscreteDistribution::sample_batch on the counter-based BatchRng (the fast-sampling configuration) against the frozen seed kernel (parallel prob/alias arrays, per-draw branchy select on StdRng), asserted draw-identical to the live sampler before timing. Regenerate with `cargo run -p dut-bench --release --bin ci-bench-check -- --refresh`. The gate holds every median to DUT_BENCH_SLACK and requires the alias speedup to stay at target_alias_speedup, slack-adjusted.",
+  "description": "Batched sampling kernels vs their scalar references: 2^20 alias-table draws from a 2^16-element power-law pmf, and collision detection over 20k sets of 81 uniform samples (sort-based has_collision vs the adaptive CollisionScratch (one-pass generation stamps below 2^19 domains, u64 bitset above)). The alias speedup gate compares DiscreteDistribution::sample_batch on the counter-based BatchRng against the frozen seed kernel (parallel prob/alias arrays, per-draw branchy select on StdRng), asserted draw-identical to the live sampler before timing. Regenerate with `cargo run -p dut-bench --release --bin ci-bench-check -- --refresh`. The gate holds every median to DUT_BENCH_SLACK and requires the alias speedup to stay at target_alias_speedup, slack-adjusted.",
   "date": "{}",
   "workloads": [
     {{
@@ -510,7 +522,7 @@ fn sampling_json(m: &SamplingMeasurement) -> String {
     }},
     {{
       "name": "alias_batched_batchrng",
-      "detail": "1M DiscreteDistribution::sample_batch draws, BatchRng (fast-sampling path)",
+      "detail": "1M DiscreteDistribution::sample_batch draws, BatchRng (counter-based generator)",
       "median_ms": {:.2}
     }},
     {{

@@ -47,15 +47,15 @@ pub mod walk;
 use crate::codec::JustesenCodec;
 use crate::robust::{robust_bandwidth_model, RobustStats};
 use dut_netsim::algorithms::{
-    broadcast_value_observed, build_bfs_tree, build_bfs_tree_coded, convergecast_sum_observed,
-    elect_leader, elect_leader_coded, reliable_broadcast_value_coded,
-    reliable_convergecast_sums_coded, BfsTree, RelMsg, RetryPolicy,
+    broadcast_value, build_bfs_tree, build_bfs_tree_coded, convergecast_sum, elect_leader,
+    elect_leader_coded, reliable_broadcast_value_coded, reliable_convergecast_sums_coded, BfsTree,
+    RelMsg, RetryPolicy,
 };
 use dut_netsim::engine::{BandwidthModel, EngineError, RunOptions};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_obs::{keys, NoopSink, Sink};
-use walk::{run_walks_coded, run_walks_observed, walk_bandwidth_model, WalkMsg, WalkOutcome};
+use walk::{run_walks, run_walks_coded, walk_bandwidth_model, WalkMsg, WalkOutcome};
 
 /// Why a conductance plan could not be built.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -348,13 +348,12 @@ impl ConductanceTester {
         // and denominator exactly.
         let degs = degree_values(g);
         let deg_sqs: Vec<u64> = degs.iter().map(|&d| d * d).collect();
-        let (sum_deg, cost_deg) = convergecast_sum_observed(g, &tree, &degs, tree_model, sink)?;
-        let (sum_deg_sq, cost_deg_sq) =
-            convergecast_sum_observed(g, &tree, &deg_sqs, tree_model, sink)?;
+        let (sum_deg, cost_deg) = convergecast_sum(g, &tree, &degs, tree_model, sink)?;
+        let (sum_deg_sq, cost_deg_sq) = convergecast_sum(g, &tree, &deg_sqs, tree_model, sink)?;
 
         // Phase 3: the walk phase.
         let walk_model = walk_bandwidth_model(self.k, self.walks_per_node);
-        let outcome = run_walks_observed(
+        let outcome = run_walks(
             g,
             seed,
             self.walks_per_node,
@@ -373,12 +372,11 @@ impl ConductanceTester {
             .map(|row| row.iter().map(|&c| c * c.saturating_sub(1) / 2).sum())
             .collect();
         let (collisions, cost_coll) =
-            convergecast_sum_observed(g, &tree, &collision_values, tree_model, sink)?;
+            convergecast_sum(g, &tree, &collision_values, tree_model, sink)?;
 
         // Phase 5: decide and broadcast.
         let accept = accepts(collisions, self.k, self.walks_per_node, sum_deg, sum_deg_sq);
-        let (_, cost_bcast) =
-            broadcast_value_observed(g, &tree, u64::from(accept), tree_model, sink)?;
+        let (_, cost_bcast) = broadcast_value(g, &tree, u64::from(accept), tree_model, sink)?;
 
         let result = self.assemble(
             accept,

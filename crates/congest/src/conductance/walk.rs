@@ -292,8 +292,13 @@ fn outcome_from_report(report: RunReport<WalkNode>) -> WalkOutcome {
     }
 }
 
-/// Runs the walk phase on the flat-buffer engine (serial, default
-/// options).
+/// Runs the walk phase on the flat-buffer engine under `options`
+/// (thread count, sparse stepping, sharded delivery, fault plan),
+/// recording `netsim.*` metrics into `sink`. Successful runs are
+/// bit-identical for every option combination. [`RunOptions::default`]
+/// auto-detects the thread count, so graphs of 512 nodes or more run
+/// on the parallel path; [`RunOptions::serial`] keeps every size on
+/// one thread.
 ///
 /// # Errors
 ///
@@ -306,39 +311,13 @@ pub fn run_walks<T: ImplicitTopology>(
     walks_per_node: u64,
     walk_len: usize,
     model: BandwidthModel,
-) -> Result<WalkOutcome, EngineError> {
-    run_walks_observed(
-        g,
-        seed,
-        walks_per_node,
-        walk_len,
-        model,
-        &RunOptions::default(),
-        &mut NoopSink,
-    )
-}
-
-/// [`run_walks`] with explicit [`RunOptions`] (thread count, sharded
-/// delivery, fault plan) and metric recording. Successful runs are
-/// bit-identical for every option combination.
-///
-/// # Errors
-///
-/// Same conditions as [`Network::run`].
-pub fn run_walks_observed<T: ImplicitTopology>(
-    g: &T,
-    seed: u64,
-    walks_per_node: u64,
-    walk_len: usize,
-    model: BandwidthModel,
     options: &RunOptions,
     sink: &mut dyn Sink,
 ) -> Result<WalkOutcome, EngineError> {
     let states = walk_states(g.node_count(), walks_per_node, seed, walk_len);
     let mut net = Network::new(g, model);
     let mut scratch = EngineScratch::new();
-    let report =
-        net.run_with_options_observed(states, walk_len + 4, &mut scratch, options, sink)?;
+    let report = net.run(states, walk_len + 4, options, &mut scratch, sink)?;
     Ok(outcome_from_report(report))
 }
 
@@ -357,7 +336,7 @@ pub fn run_walks_reference(
     model: BandwidthModel,
 ) -> Result<WalkOutcome, EngineError> {
     let states = walk_states(g.node_count(), walks_per_node, seed, walk_len);
-    let report = run_reference(g, model, states, walk_len + 4)?;
+    let report = run_reference(g, model, states, walk_len + 4, &mut NoopSink)?;
     Ok(outcome_from_report(report))
 }
 
@@ -375,7 +354,7 @@ pub fn run_walks_reference_faulted(
     plan: &FaultPlan,
 ) -> Result<WalkOutcome, EngineError> {
     let states = walk_states(g.node_count(), walks_per_node, seed, walk_len);
-    let report = run_reference_faulted(g, model, states, walk_len + 4, plan)?;
+    let report = run_reference_faulted(g, model, states, walk_len + 4, plan, &mut NoopSink)?;
     Ok(outcome_from_report(report))
 }
 
@@ -416,9 +395,8 @@ where
         })
         .collect();
     let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let opts = options.clone().with_faults(plan.clone());
-    let report = net.run_with_options_observed(states, walk_len + 4, &mut scratch, &opts, sink)?;
+    let report = net.run(states, walk_len + 4, &opts, &mut EngineScratch::new(), sink)?;
     let stats = codec_stats(&report.nodes);
     let outcome = WalkOutcome {
         counts: report

@@ -13,8 +13,11 @@
 
 use dut_netsim::algorithms::bfs::{build_bfs_tree, BfsTree};
 use dut_netsim::algorithms::leader::elect_leader;
-use dut_netsim::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox};
+use dut_netsim::engine::{
+    BandwidthModel, Compact, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
+};
 use dut_netsim::graph::{ImplicitTopology, NodeId};
+use dut_obs::NoopSink;
 use std::collections::VecDeque;
 
 /// Bottom-up residue computation: like a convergecast, but each node
@@ -348,7 +351,14 @@ pub fn solve_token_packaging<T: ImplicitTopology>(
         })
         .collect();
     let mut net = Network::new(g, model);
-    let residue_report = net.run(residue_states, 2 * k + 4)?;
+    let options = RunOptions::serial();
+    let residue_report = net.run(
+        residue_states,
+        2 * k + 4,
+        &options,
+        &mut EngineScratch::new(),
+        &mut NoopSink,
+    )?;
     // Unreachable expect: `ResidueNode::is_done` is `c.is_some()`, and the
     // engine only returns a successful report once every node is done.
     let quotas: Vec<u64> = residue_report
@@ -361,7 +371,13 @@ pub fn solve_token_packaging<T: ImplicitTopology>(
     let states = forward_states(&tree, tokens, &quotas);
     let mut net = Network::new(g, model);
     let max_rounds = forward_round_limit(tau, &tree);
-    let forward_report = net.run(states, max_rounds)?;
+    let forward_report = net.run(
+        states,
+        max_rounds,
+        &options,
+        &mut EngineScratch::new(),
+        &mut NoopSink,
+    )?;
 
     // Cut each node's kept tokens into packages of exactly τ.
     let (packages, discarded) = cut_packages(forward_report.nodes.iter(), tau);

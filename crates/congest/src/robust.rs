@@ -35,7 +35,7 @@ use dut_netsim::algorithms::{
 use dut_netsim::engine::{BandwidthModel, Compact, EngineScratch, Network, RunOptions};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::ImplicitTopology;
-use dut_obs::Sink;
+use dut_obs::{NoopSink, Sink};
 
 /// Fault-handling totals of one robust packaging (or tester) run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,14 +159,10 @@ pub fn solve_token_packaging_robust<T: ImplicitTopology>(
         .map(|s| CodedProtocol::new(s, compact_codec.clone()))
         .collect();
     let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let forward_report = net.run_with_options(
-        states,
-        forward_round_limit(tau, &tree),
-        &mut scratch,
-        &options,
-    )?;
+    let mut scratch = EngineScratch::new();
+    let max_rounds = forward_round_limit(tau, &tree);
+    let forward_report = net.run(states, max_rounds, &options, &mut scratch, &mut NoopSink)?;
     stats.absorb_codec(codec_stats(&forward_report.nodes));
 
     // Token conservation: a dropped forwarding message loses its token
@@ -204,7 +200,6 @@ mod tests {
     use super::*;
     use crate::packaging::solve_token_packaging;
     use dut_netsim::topology;
-    use dut_obs::NoopSink;
 
     fn unique_tokens(k: usize, per_node: usize) -> Vec<Vec<u64>> {
         let mut next = 0u64;

@@ -20,7 +20,7 @@ use dut_core::gap::GapTester;
 use dut_core::params::{plan_threshold, ThresholdPlan, WindowMethod};
 use dut_distributions::collision::CollisionScratch;
 use dut_distributions::SampleOracle;
-use dut_netsim::algorithms::convergecast::{broadcast_value_observed, convergecast_sum_observed};
+use dut_netsim::algorithms::convergecast::{broadcast_value, convergecast_sum};
 use dut_netsim::algorithms::{
     reliable_broadcast_value_coded, reliable_convergecast_sums_coded, RelMsg, RetryPolicy,
 };
@@ -317,8 +317,7 @@ impl CongestUniformityTester {
         }
 
         // Phase 6: convergecast the vote count to the root.
-        let (total_votes, conv_cost) =
-            convergecast_sum_observed(g, &packaging.tree, &votes, model, sink)?;
+        let (total_votes, conv_cost) = convergecast_sum(g, &packaging.tree, &votes, model, sink)?;
         debug_assert_eq!(total_votes as usize, rejecting);
 
         // Phase 7: root decides and broadcasts the verdict.
@@ -328,8 +327,7 @@ impl CongestUniformityTester {
             Decision::Accept
         };
         let verdict_bit = u64::from(decision == Decision::Reject);
-        let (received, bcast_cost) =
-            broadcast_value_observed(g, &packaging.tree, verdict_bit, model, sink)?;
+        let (received, bcast_cost) = broadcast_value(g, &packaging.tree, verdict_bit, model, sink)?;
         debug_assert!(received.iter().all(|&v| v == verdict_bit));
 
         let result = CongestRunResult {

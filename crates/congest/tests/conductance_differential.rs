@@ -7,7 +7,7 @@
 //! verdict).
 
 use dut_congest::conductance::walk::{
-    run_walks_observed, run_walks_reference, run_walks_reference_faulted, walk_bandwidth_model,
+    run_walks, run_walks_reference, run_walks_reference_faulted, walk_bandwidth_model,
 };
 use dut_congest::{ConductanceError, ConductanceStage, ConductanceTester};
 use dut_netsim::engine::RunOptions;
@@ -59,9 +59,8 @@ fn walk_census_matches_reference_clean_and_faulted() {
     ];
     for plan in plans {
         let opts = RunOptions::default().with_faults(plan.clone());
-        let flat =
-            run_walks_observed(&g, SEED, 8, 16, model, &opts, &mut NoopSink).expect("flat engine");
-        let sharded = run_walks_observed(
+        let flat = run_walks(&g, SEED, 8, 16, model, &opts, &mut NoopSink).expect("flat engine");
+        let sharded = run_walks(
             &g,
             SEED,
             8,

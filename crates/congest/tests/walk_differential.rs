@@ -5,7 +5,7 @@
 //! bounds.
 
 use dut_congest::conductance::walk::{
-    run_walks_observed, run_walks_reference_faulted, walk_bandwidth_model,
+    run_walks, run_walks_reference_faulted, walk_bandwidth_model,
 };
 use dut_core::montecarlo::ErrorEstimate;
 use dut_netsim::engine::RunOptions;
@@ -27,7 +27,7 @@ proptest! {
     ) {
         let k = g.node_count();
         let model = walk_bandwidth_model(k, walks);
-        let serial = run_walks_observed(
+        let serial = run_walks(
             &g,
             seed,
             walks,
@@ -37,7 +37,7 @@ proptest! {
             &mut NoopSink,
         ).unwrap();
         for threads in [2usize, 5] {
-            let parallel = run_walks_observed(
+            let parallel = run_walks(
                 &g,
                 seed,
                 walks,
@@ -77,7 +77,7 @@ fn lazy_walk_on_clique_is_uniform_within_wilson_bounds() {
     let mut per_node = vec![0u64; k];
     let mut total = 0u64;
     for seed in 0..40u64 {
-        let outcome = run_walks_observed(
+        let outcome = run_walks(
             &g,
             0x5EED ^ (seed * 0x9E37_79B9),
             walks,

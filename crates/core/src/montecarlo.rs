@@ -411,30 +411,15 @@ pub fn trial_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// The generator [`sampling_rng`] returns: [`StdRng`] on the default
-/// path, swapped for the counter-based
-/// [`dut_distributions::batch::BatchRng`] under the `fast-sampling`
-/// cargo feature.
-#[cfg(not(feature = "fast-sampling"))]
+/// The generator [`sampling_rng`] returns: [`StdRng`], the one trial
+/// RNG stream.
 pub type SamplingRng = StdRng;
-
-/// The generator [`sampling_rng`] returns under `fast-sampling`: the
-/// counter-based [`dut_distributions::batch::BatchRng`], whose batch
-/// fills autovectorize.
-#[cfg(feature = "fast-sampling")]
-pub type SamplingRng = dut_distributions::batch::BatchRng;
 
 /// A seeded generator for the *sampling* hot path of a trial (the
 /// draws a tester feeds through `SampleOracle::draw_into`).
 ///
-/// On the default build this is [`trial_rng`] — the documented
-/// `StdRng` streams, bit-identical to every recorded experiment. With
-/// the `fast-sampling` cargo feature it returns a
-/// [`dut_distributions::batch::BatchRng`] instead, which changes the
-/// RNG stream: the differential contract for that split is **verdict
-/// identity** (same accept/reject decisions, same statistics within
-/// exact-oracle checks), enforced by the testkit suites — never bit
-/// identity.
+/// This is [`trial_rng`] — the documented `StdRng` streams,
+/// bit-identical to every recorded experiment.
 pub fn sampling_rng(seed: u64) -> SamplingRng {
     SamplingRng::seed_from_u64(seed)
 }

@@ -261,7 +261,7 @@ mod tests {
             let mut got = vec![0u32; 100];
             table.sample_batch(&mut batched, &mut got);
             assert_eq!(got, expect, "StdRng seed {seed}");
-            // BatchRng: the fast-sampling stream must agree with its
+            // BatchRng: the counter-based stream must agree with its
             // own scalar draws too.
             let mut scalar = BatchRng::new(seed);
             let expect: Vec<u32> = (0..100).map(|_| table.sample(&mut scalar) as u32).collect();

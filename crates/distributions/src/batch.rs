@@ -16,12 +16,12 @@
 //! of [`LANES`]; the constant is exported so callers can size stack
 //! buffers to the same width.
 //!
-//! `BatchRng` is **not** the default trial generator — the executor's
-//! documented streams use `StdRng` (xoshiro256++). The `fast-sampling`
-//! cargo feature swaps `BatchRng` into the trial hot path
-//! (`dut_core::montecarlo::sampling_rng`), which changes the RNG
-//! stream; that split's contract is *verdict* identity, enforced by
-//! the testkit differential suite, not bit identity.
+//! `BatchRng` is **not** the trial generator — the executor's
+//! documented streams use `StdRng` (xoshiro256++), and
+//! `dut_core::montecarlo::sampling_rng` returns one. `BatchRng` is a
+//! standalone generator for callers that draw in bulk; the batched
+//! kernels are bit-identical to their scalar draws on it as on any
+//! `RngCore`.
 //!
 //! [`AliasTable::sample_batch`]: crate::DiscreteDistribution::sample_batch
 //! [`DiscreteDistribution`]: crate::DiscreteDistribution

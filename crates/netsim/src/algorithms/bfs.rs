@@ -12,6 +12,7 @@ use crate::engine::{
 };
 use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
+use dut_obs::NoopSink;
 
 /// Per-node state of the BFS protocol.
 #[derive(Debug, Clone)]
@@ -103,7 +104,6 @@ impl BfsTree {
 /// [`EngineError::Unreached`] if the graph is disconnected (the flood
 /// stabilizes without reaching the far component), or a bandwidth
 /// violation under an unreasonably tight CONGEST budget.
-#[allow(clippy::needless_range_loop)]
 pub fn build_bfs_tree<T: ImplicitTopology>(
     g: &T,
     root: NodeId,
@@ -121,13 +121,28 @@ pub fn build_bfs_tree<T: ImplicitTopology>(
         })
         .collect();
     let mut net = Network::new(g, model);
-    let report = net.run(states, 2 * k + 4)?;
+    let report = net.run(
+        states,
+        2 * k + 4,
+        &RunOptions::serial(),
+        &mut EngineScratch::new(),
+        &mut NoopSink,
+    )?;
+    let tree = tree_from_nodes(root, report.nodes.iter())?;
+    Ok((tree, report.rounds))
+}
 
+/// Reads the tree off the final BFS states (in node order).
+fn tree_from_nodes<'a>(
+    root: NodeId,
+    nodes: impl ExactSizeIterator<Item = &'a BfsNode>,
+) -> Result<BfsTree, EngineError> {
+    let k = nodes.len();
     let mut parent = vec![None; k];
     let mut depth = vec![0usize; k];
     let mut children = vec![Vec::new(); k];
     let mut height = 0usize;
-    for (v, st) in report.nodes.iter().enumerate() {
+    for (v, st) in nodes.enumerate() {
         parent[v] = st.parent;
         depth[v] = st.depth.ok_or(EngineError::Unreached { node: v })? as usize;
         height = height.max(depth[v]);
@@ -135,16 +150,13 @@ pub fn build_bfs_tree<T: ImplicitTopology>(
             children[p].push(v);
         }
     }
-    Ok((
-        BfsTree {
-            root,
-            parent,
-            depth,
-            children,
-            height,
-        },
-        report.rounds,
-    ))
+    Ok(BfsTree {
+        root,
+        parent,
+        depth,
+        children,
+        height,
+    })
 }
 
 /// [`build_bfs_tree`] with messages travelling through `codec` under a
@@ -158,7 +170,6 @@ pub fn build_bfs_tree<T: ImplicitTopology>(
 /// # Errors
 ///
 /// Same conditions as [`build_bfs_tree`].
-#[allow(clippy::needless_range_loop)]
 pub fn build_bfs_tree_coded<T, C>(
     g: &T,
     root: NodeId,
@@ -188,35 +199,12 @@ where
         })
         .collect();
     let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let report = net.run_with_options(states, 2 * k + 4, &mut scratch, &options)?;
+    let mut scratch = EngineScratch::new();
+    let report = net.run(states, 2 * k + 4, &options, &mut scratch, &mut NoopSink)?;
     let stats = codec_stats(&report.nodes);
-
-    let mut parent = vec![None; k];
-    let mut depth = vec![0usize; k];
-    let mut children = vec![Vec::new(); k];
-    let mut height = 0usize;
-    for (v, st) in report.nodes.iter().enumerate() {
-        let st = st.inner();
-        parent[v] = st.parent;
-        depth[v] = st.depth.ok_or(EngineError::Unreached { node: v })? as usize;
-        height = height.max(depth[v]);
-        if let Some(p) = st.parent {
-            children[p].push(v);
-        }
-    }
-    Ok((
-        BfsTree {
-            root,
-            parent,
-            depth,
-            children,
-            height,
-        },
-        report.rounds,
-        stats,
-    ))
+    let tree = tree_from_nodes(root, report.nodes.iter().map(CodedProtocol::inner))?;
+    Ok((tree, report.rounds, stats))
 }
 
 #[cfg(test)]

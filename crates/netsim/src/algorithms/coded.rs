@@ -314,9 +314,23 @@ pub fn codec_stats<P, C: MessageCodec>(nodes: &[CodedProtocol<P, C>]) -> CodecSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BandwidthModel, Compact, EngineScratch, Network, RunOptions};
+    use crate::engine::{BandwidthModel, Compact, EngineScratch, Network, RunOptions, RunReport};
     use crate::fault::FaultPlan;
+    use crate::graph::Graph;
     use crate::topology;
+    use dut_obs::NoopSink;
+
+    /// A plain serial LOCAL run of `states` on `g`, 64 rounds at most.
+    fn run_serial<P>(g: &Graph, states: Vec<P>) -> RunReport<P>
+    where
+        P: NodeProtocol + Send,
+        P::Msg: Send + Sync + FaultInjectable,
+    {
+        let (options, mut scratch) = (RunOptions::serial(), EngineScratch::new());
+        let mut net = Network::new(g, BandwidthModel::Local);
+        net.run(states, 64, &options, &mut scratch, &mut NoopSink)
+            .unwrap()
+    }
 
     /// Max-id flood used as the inner protocol under test.
     #[derive(Debug, Clone, PartialEq)]
@@ -407,16 +421,12 @@ mod tests {
     fn identity_codec_matches_plain_run() {
         let g = topology::grid(4, 5);
         let n = g.node_count();
-        let plain = Network::new(&g, BandwidthModel::Local)
-            .run(flood_states(n), 64)
-            .unwrap();
+        let plain = run_serial(&g, flood_states(n));
         let coded_states: Vec<_> = flood_states(n)
             .into_iter()
             .map(|s| CodedProtocol::new(s, IdentityCodec::<Compact>::new()))
             .collect();
-        let coded = Network::new(&g, BandwidthModel::Local)
-            .run(coded_states, 64)
-            .unwrap();
+        let coded = run_serial(&g, coded_states);
         assert_eq!(plain.rounds, coded.rounds);
         assert_eq!(plain.total_messages, coded.total_messages);
         assert_eq!(plain.total_bits, coded.total_bits);
@@ -436,17 +446,14 @@ mod tests {
                 .map(|s| CodedProtocol::new(s, Rep3))
                 .collect()
         };
-        let clean = Network::new(&g, BandwidthModel::Local)
-            .run(mk(), 64)
-            .unwrap();
+        let clean = run_serial(&g, mk());
         // Flip rate low enough that (at this fixed seed) no bit
         // position of a word is hit in two copies: majority vote fixes
         // everything, so every flipped bit is a corrected bit.
         let plan = FaultPlan::seeded(0xC0DE).with_flips(0.0005);
-        let mut scratch = EngineScratch::new();
         let opts = RunOptions::serial().with_faults(plan);
         let faulted = Network::new(&g, BandwidthModel::Local)
-            .run_with_options(mk(), 64, &mut scratch, &opts)
+            .run(mk(), 64, &opts, &mut EngineScratch::new(), &mut NoopSink)
             .unwrap();
         assert!(faulted.flipped_bits > 0, "fault plan must actually flip");
         let stats = codec_stats(&faulted.nodes);

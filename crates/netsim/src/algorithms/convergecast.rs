@@ -6,9 +6,11 @@
 //! `O(log k)`-bit messages.
 
 use super::bfs::BfsTree;
-use crate::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox};
+use crate::engine::{
+    BandwidthModel, Compact, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
+};
 use crate::graph::{ImplicitTopology, NodeId};
-use dut_obs::{keys, NoopSink, Sink};
+use dut_obs::{keys, Sink};
 
 /// Wire cost of one tree operation (convergecast or broadcast), taken
 /// from the underlying engine report so callers can account for the
@@ -61,7 +63,9 @@ impl NodeProtocol for ConvNode {
 }
 
 /// Sums `values` up the tree; returns the total (as computed at the
-/// root) and the number of rounds used.
+/// root) and the operation's wire cost, and records the cost into
+/// `sink` under the `netsim.convergecast.*` keys (the underlying engine
+/// run records `netsim.*` as well). The run is serial.
 ///
 /// # Errors
 ///
@@ -72,27 +76,6 @@ impl NodeProtocol for ConvNode {
 ///
 /// Panics if `values` length does not match the graph.
 pub fn convergecast_sum<T: ImplicitTopology>(
-    g: &T,
-    tree: &BfsTree,
-    values: &[u64],
-    model: BandwidthModel,
-) -> Result<(u64, usize), EngineError> {
-    let (total, cost) = convergecast_sum_observed(g, tree, values, model, &mut NoopSink)?;
-    Ok((total, cost.rounds))
-}
-
-/// [`convergecast_sum`] that also returns the operation's wire cost and
-/// records it into `sink` under the `netsim.convergecast.*` keys (the
-/// underlying engine run records `netsim.*` as well).
-///
-/// # Errors
-///
-/// Same conditions as [`convergecast_sum`].
-///
-/// # Panics
-///
-/// Panics if `values` length does not match the graph.
-pub fn convergecast_sum_observed<T: ImplicitTopology>(
     g: &T,
     tree: &BfsTree,
     values: &[u64],
@@ -110,7 +93,13 @@ pub fn convergecast_sum_observed<T: ImplicitTopology>(
         })
         .collect();
     let mut net = Network::new(g, model);
-    let report = net.run_observed(states, 2 * g.node_count() + 4, sink)?;
+    let report = net.run(
+        states,
+        2 * g.node_count() + 4,
+        &RunOptions::serial(),
+        &mut EngineScratch::new(),
+        sink,
+    )?;
     let cost = TreeOpCost {
         rounds: report.rounds,
         messages: report.total_messages,
@@ -161,29 +150,14 @@ impl NodeProtocol for BcastNode {
 }
 
 /// Pushes `value` from the root down the tree; returns each node's
-/// received value and the number of rounds used.
+/// received value and the operation's wire cost, and records the cost
+/// into `sink` under the `netsim.broadcast.*` keys (the underlying
+/// engine run records `netsim.*` as well). The run is serial.
 ///
 /// # Errors
 ///
 /// Propagates engine errors.
 pub fn broadcast_value<T: ImplicitTopology>(
-    g: &T,
-    tree: &BfsTree,
-    value: u64,
-    model: BandwidthModel,
-) -> Result<(Vec<u64>, usize), EngineError> {
-    let (values, cost) = broadcast_value_observed(g, tree, value, model, &mut NoopSink)?;
-    Ok((values, cost.rounds))
-}
-
-/// [`broadcast_value`] that also returns the operation's wire cost and
-/// records it into `sink` under the `netsim.broadcast.*` keys (the
-/// underlying engine run records `netsim.*` as well).
-///
-/// # Errors
-///
-/// Same conditions as [`broadcast_value`].
-pub fn broadcast_value_observed<T: ImplicitTopology>(
     g: &T,
     tree: &BfsTree,
     value: u64,
@@ -198,7 +172,13 @@ pub fn broadcast_value_observed<T: ImplicitTopology>(
         })
         .collect();
     let mut net = Network::new(g, model);
-    let report = net.run_observed(states, 2 * g.node_count() + 4, sink)?;
+    let report = net.run(
+        states,
+        2 * g.node_count() + 4,
+        &RunOptions::serial(),
+        &mut EngineScratch::new(),
+        sink,
+    )?;
     let cost = TreeOpCost {
         rounds: report.rounds,
         messages: report.total_messages,
@@ -225,6 +205,9 @@ mod tests {
     use super::*;
     use crate::algorithms::bfs::build_bfs_tree;
     use crate::topology;
+    use dut_obs::NoopSink;
+
+    const LOCAL: BandwidthModel = BandwidthModel::Local;
 
     fn tree_of(g: &crate::graph::Graph, root: NodeId) -> BfsTree {
         build_bfs_tree(g, root, BandwidthModel::Local).unwrap().0
@@ -235,7 +218,8 @@ mod tests {
         let g = topology::line(5);
         let tree = tree_of(&g, 0);
         let values = [1u64, 2, 3, 4, 5];
-        let (total, rounds) = convergecast_sum(&g, &tree, &values, BandwidthModel::Local).unwrap();
+        let (total, TreeOpCost { rounds, .. }) =
+            convergecast_sum(&g, &tree, &values, LOCAL, &mut NoopSink).unwrap();
         assert_eq!(total, 15);
         // height 4: leaf's value takes 4 hops + quiescence overhead
         assert!((4..=8).contains(&rounds), "rounds = {rounds}");
@@ -246,7 +230,8 @@ mod tests {
         let g = topology::star(64);
         let tree = tree_of(&g, 0);
         let values = vec![1u64; 64];
-        let (total, rounds) = convergecast_sum(&g, &tree, &values, BandwidthModel::Local).unwrap();
+        let (total, TreeOpCost { rounds, .. }) =
+            convergecast_sum(&g, &tree, &values, LOCAL, &mut NoopSink).unwrap();
         assert_eq!(total, 64);
         assert!(rounds <= 4, "star convergecast took {rounds} rounds");
     }
@@ -257,7 +242,7 @@ mod tests {
         let tree = tree_of(&g, 0);
         let values = vec![3u64; 36];
         let model = BandwidthModel::Congest { bits_per_edge: 64 };
-        let (total, _) = convergecast_sum(&g, &tree, &values, model).unwrap();
+        let (total, _) = convergecast_sum(&g, &tree, &values, model, &mut NoopSink).unwrap();
         assert_eq!(total, 108);
     }
 
@@ -266,7 +251,7 @@ mod tests {
         let g = topology::ring(7);
         let tree = tree_of(&g, 3);
         let values = vec![0u64; 7];
-        let (total, _) = convergecast_sum(&g, &tree, &values, BandwidthModel::Local).unwrap();
+        let (total, _) = convergecast_sum(&g, &tree, &values, LOCAL, &mut NoopSink).unwrap();
         assert_eq!(total, 0);
     }
 
@@ -274,19 +259,19 @@ mod tests {
     fn broadcast_reaches_everyone() {
         let g = topology::balanced_binary_tree(31);
         let tree = tree_of(&g, 0);
-        let (values, rounds) = broadcast_value(&g, &tree, 42, BandwidthModel::Local).unwrap();
+        let (values, cost) = broadcast_value(&g, &tree, 42, LOCAL, &mut NoopSink).unwrap();
         assert!(values.iter().all(|&v| v == 42));
-        assert!(rounds <= tree.height + 3);
+        assert!(cost.rounds <= tree.height + 3);
     }
 
     #[test]
     fn broadcast_round_count_scales_with_height() {
         let g = topology::line(20);
         let tree = tree_of(&g, 0);
-        let (_, rounds_line) = broadcast_value(&g, &tree, 7, BandwidthModel::Local).unwrap();
+        let (_, line) = broadcast_value(&g, &tree, 7, LOCAL, &mut NoopSink).unwrap();
         let g2 = topology::star(20);
         let tree2 = tree_of(&g2, 0);
-        let (_, rounds_star) = broadcast_value(&g2, &tree2, 7, BandwidthModel::Local).unwrap();
-        assert!(rounds_line > rounds_star);
+        let (_, star) = broadcast_value(&g2, &tree2, 7, LOCAL, &mut NoopSink).unwrap();
+        assert!(line.rounds > star.rounds);
     }
 }

@@ -11,8 +11,12 @@
 //! (3) their neighbors retire and announce that. Messages are
 //! `O(log k)` bits, so the protocol runs in CONGEST.
 
-use crate::engine::{BandwidthModel, EngineError, Network, NodeProtocol, Outbox};
+use crate::engine::{
+    BandwidthModel, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
+};
+use crate::fault::FaultInjectable;
 use crate::graph::{Graph, NodeId};
+use dut_obs::NoopSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,6 +58,18 @@ impl crate::engine::MessageSize for LubyMsg {
             LubyMsg::Priority(_) => 2 + 48,
             LubyMsg::JoinedMis | LubyMsg::Retired => 2,
         }
+    }
+}
+
+impl FaultInjectable for LubyMsg {
+    fn flip_bit(&mut self, bit: usize) {
+        // A priority's flips land in its 48 payload bits; a flipped
+        // announcement reads as the other announcement.
+        *self = match *self {
+            LubyMsg::Priority(p) => LubyMsg::Priority(p ^ (1u64 << (bit % 48))),
+            LubyMsg::JoinedMis => LubyMsg::Retired,
+            LubyMsg::Retired => LubyMsg::JoinedMis,
+        };
     }
 }
 
@@ -152,7 +168,13 @@ pub fn distributed_luby_mis(
         })
         .collect();
     let mut net = Network::new(g, model);
-    let report = net.run(states, 90 * (k.max(2).ilog2() as usize + 2))?;
+    let report = net.run(
+        states,
+        90 * (k.max(2).ilog2() as usize + 2),
+        &RunOptions::serial(),
+        &mut EngineScratch::new(),
+        &mut NoopSink,
+    )?;
     let in_mis = report
         .nodes
         .iter()

@@ -11,6 +11,7 @@ use crate::engine::{
 };
 use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
+use dut_obs::NoopSink;
 
 /// Per-node max-flood state.
 #[derive(Debug, Clone)]
@@ -89,7 +90,13 @@ pub fn elect_leader<T: ImplicitTopology>(
         })
         .collect();
     let mut net = Network::new(g, model);
-    let report = net.run(states, 2 * g.node_count() + 4)?;
+    let report = net.run(
+        states,
+        2 * g.node_count() + 4,
+        &RunOptions::serial(),
+        &mut EngineScratch::new(),
+        &mut NoopSink,
+    )?;
     // Unreachable expect: the unique maximum asserted above never loses a
     // comparison, so the node holding it still has `best == my_id == max`
     // once the flood quiesces.
@@ -150,9 +157,15 @@ where
         })
         .collect();
     let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let report = net.run_with_options(states, 2 * g.node_count() + 4, &mut scratch, &options)?;
+    let mut scratch = EngineScratch::new();
+    let report = net.run(
+        states,
+        2 * g.node_count() + 4,
+        &options,
+        &mut scratch,
+        &mut NoopSink,
+    )?;
     let stats = codec_stats(&report.nodes);
     // Unreachable expect: no id exceeds the unique maximum, so faults can
     // delay but never displace the max holder's self-election.

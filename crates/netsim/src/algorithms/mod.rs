@@ -20,16 +20,12 @@ pub use bfs::{build_bfs_tree, build_bfs_tree_coded, BfsTree};
 pub use coded::{
     codec_stats, CodecError, CodecMessage, CodecStats, CodedProtocol, IdentityCodec, MessageCodec,
 };
-pub use convergecast::{
-    broadcast_value, broadcast_value_observed, convergecast_sum, convergecast_sum_observed,
-    TreeOpCost,
-};
+pub use convergecast::{broadcast_value, convergecast_sum, TreeOpCost};
 pub use distributed_mis::{distributed_luby_mis, DistributedMisResult};
 pub use leader::{elect_leader, elect_leader_coded};
 pub use mis::{luby_mis, verify_mis, MisResult};
 pub use reliable::{
-    reliable_broadcast_value, reliable_broadcast_value_coded, reliable_broadcast_value_observed,
-    reliable_convergecast_sums, reliable_convergecast_sums_coded,
-    reliable_convergecast_sums_observed, RelMsg, ReliableCost, RetryPolicy,
+    reliable_broadcast_value, reliable_broadcast_value_coded, reliable_convergecast_sums,
+    reliable_convergecast_sums_coded, RelMsg, ReliableCost, RetryPolicy,
 };
 pub use routing::{route_to_centers, Parcel};

@@ -37,7 +37,7 @@ use crate::engine::{
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{ImplicitTopology, NodeId};
 use crate::recover::{opt_word, RecoverError, Recoverable, WordReader};
-use dut_obs::{keys, NoopSink, Sink};
+use dut_obs::{keys, Sink};
 
 /// One message of the reliable tree protocols.
 ///
@@ -593,13 +593,13 @@ where
         })
         .collect();
     let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let report = net.run_with_options_observed(
+    let mut scratch = EngineScratch::new();
+    let report = net.run(
         states,
         policy.max_rounds(tree),
-        &mut scratch,
         &options,
+        &mut scratch,
         sink,
     )?;
     let stats = codec_stats(&report.nodes);
@@ -667,13 +667,13 @@ where
         })
         .collect();
     let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let report = net.run_with_options_observed(
+    let mut scratch = EngineScratch::new();
+    let report = net.run(
         states,
         policy.max_rounds(tree),
-        &mut scratch,
         &options,
+        &mut scratch,
         sink,
     )?;
     let stats = codec_stats(&report.nodes);
@@ -706,27 +706,7 @@ fn record_reliable(sink: &mut dyn Sink, cost: &ReliableCost) {
 }
 
 /// [`reliable_convergecast_sums_coded`] with the identity codec (ARQ
-/// only, no flip correction).
-///
-/// # Errors
-///
-/// Same conditions as [`reliable_convergecast_sums_coded`].
-///
-/// # Panics
-///
-/// Panics if `values` length does not match the graph.
-pub fn reliable_convergecast_sums<T: ImplicitTopology>(
-    g: &T,
-    tree: &BfsTree,
-    values: &[u64],
-    model: BandwidthModel,
-    plan: &FaultPlan,
-    policy: RetryPolicy,
-) -> Result<(Vec<u64>, ReliableCost), EngineError> {
-    reliable_convergecast_sums_observed(g, tree, values, model, plan, policy, &mut NoopSink)
-}
-
-/// [`reliable_convergecast_sums`] recording `netsim.reliable.*` metrics
+/// only, no flip correction), recording `netsim.reliable.*` metrics
 /// into `sink`.
 ///
 /// # Errors
@@ -736,7 +716,7 @@ pub fn reliable_convergecast_sums<T: ImplicitTopology>(
 /// # Panics
 ///
 /// Panics if `values` length does not match the graph.
-pub fn reliable_convergecast_sums_observed<T: ImplicitTopology>(
+pub fn reliable_convergecast_sums<T: ImplicitTopology>(
     g: &T,
     tree: &BfsTree,
     values: &[u64],
@@ -759,29 +739,13 @@ pub fn reliable_convergecast_sums_observed<T: ImplicitTopology>(
 }
 
 /// [`reliable_broadcast_value_coded`] with the identity codec (ARQ
-/// only, no flip correction).
-///
-/// # Errors
-///
-/// Same conditions as [`reliable_convergecast_sums_coded`].
-pub fn reliable_broadcast_value<T: ImplicitTopology>(
-    g: &T,
-    tree: &BfsTree,
-    value: u64,
-    model: BandwidthModel,
-    plan: &FaultPlan,
-    policy: RetryPolicy,
-) -> Result<(Vec<Option<u64>>, ReliableCost), EngineError> {
-    reliable_broadcast_value_observed(g, tree, value, model, plan, policy, &mut NoopSink)
-}
-
-/// [`reliable_broadcast_value`] recording `netsim.reliable.*` metrics
+/// only, no flip correction), recording `netsim.reliable.*` metrics
 /// into `sink`.
 ///
 /// # Errors
 ///
 /// Same conditions as [`reliable_convergecast_sums_coded`].
-pub fn reliable_broadcast_value_observed<T: ImplicitTopology>(
+pub fn reliable_broadcast_value<T: ImplicitTopology>(
     g: &T,
     tree: &BfsTree,
     value: u64,
@@ -809,6 +773,9 @@ mod tests {
     use crate::algorithms::bfs::build_bfs_tree;
     use crate::algorithms::convergecast::convergecast_sum;
     use crate::topology;
+    use dut_obs::NoopSink;
+
+    const LOCAL: BandwidthModel = BandwidthModel::Local;
 
     fn tree_of(g: &crate::graph::Graph, root: NodeId) -> BfsTree {
         build_bfs_tree(g, root, BandwidthModel::Local).unwrap().0
@@ -856,7 +823,7 @@ mod tests {
             let tree = tree_of(&g, 0);
             let values: Vec<u64> = (0..g.node_count() as u64).map(|v| v * 3 + 1).collect();
             let (plain_total, _) =
-                convergecast_sum(&g, &tree, &values, BandwidthModel::Local).unwrap();
+                convergecast_sum(&g, &tree, &values, BandwidthModel::Local, &mut NoopSink).unwrap();
             let policy = RetryPolicy::for_tree(&tree, 4);
             let (sums, cost) = reliable_convergecast_sums(
                 &g,
@@ -865,6 +832,7 @@ mod tests {
                 BandwidthModel::Local,
                 &FaultPlan::none(),
                 policy,
+                &mut NoopSink,
             )
             .unwrap();
             assert_eq!(sums[tree.root], plain_total);
@@ -888,7 +856,7 @@ mod tests {
         let policy = RetryPolicy::for_tree(&tree, 8);
         let plan = FaultPlan::seeded(42).with_drops(0.3);
         let (sums, cost) =
-            reliable_convergecast_sums(&g, &tree, &values, BandwidthModel::Local, &plan, policy)
+            reliable_convergecast_sums(&g, &tree, &values, LOCAL, &plan, policy, &mut NoopSink)
                 .unwrap();
         assert_eq!(cost.failures, 0, "retry budget should absorb 30% drops");
         assert_eq!(sums[tree.root], 55, "total must be exact despite drops");
@@ -906,7 +874,7 @@ mod tests {
         };
         let plan = FaultPlan::seeded(7).with_drops(0.97);
         let (sums, cost) =
-            reliable_convergecast_sums(&g, &tree, &values, BandwidthModel::Local, &plan, policy)
+            reliable_convergecast_sums(&g, &tree, &values, LOCAL, &plan, policy, &mut NoopSink)
                 .unwrap();
         assert!(cost.failures > 0, "97% drops must defeat a 1-retry budget");
         assert!(sums[tree.root] < 8, "partial total under failures");
@@ -924,6 +892,7 @@ mod tests {
             BandwidthModel::Local,
             &FaultPlan::none(),
             policy,
+            &mut NoopSink,
         )
         .unwrap();
         assert!(values.iter().all(|&v| v == Some(99)));
@@ -938,7 +907,7 @@ mod tests {
         let policy = RetryPolicy::for_tree(&tree, 8);
         let plan = FaultPlan::seeded(5).with_drops(0.3);
         let (values, cost) =
-            reliable_broadcast_value(&g, &tree, 7, BandwidthModel::Local, &plan, policy).unwrap();
+            reliable_broadcast_value(&g, &tree, 7, LOCAL, &plan, policy, &mut NoopSink).unwrap();
         assert!(
             values.iter().all(|&v| v == Some(7)),
             "ARQ must deliver everywhere: {values:?}"
@@ -960,7 +929,7 @@ mod tests {
         // 3 never hears from 4.
         let plan = FaultPlan::seeded(1).with_crash(4, 0);
         let (sums, cost) =
-            reliable_convergecast_sums(&g, &tree, &values, BandwidthModel::Local, &plan, policy)
+            reliable_convergecast_sums(&g, &tree, &values, LOCAL, &plan, policy, &mut NoopSink)
                 .unwrap();
         assert!(cost.failures > 0, "crash must surface as failures");
         assert_eq!(sums[tree.root], 4, "nodes 0..=3 still counted");
@@ -977,7 +946,7 @@ mod tests {
         let plan = FaultPlan::seeded(1).with_crash(4, 0).with_rejoin(4, 6);
         let policy = RetryPolicy::for_tree(&tree, 2).allowing_outage(plan.max_outage_rounds());
         let (sums, cost) =
-            reliable_convergecast_sums(&g, &tree, &values, BandwidthModel::Local, &plan, policy)
+            reliable_convergecast_sums(&g, &tree, &values, LOCAL, &plan, policy, &mut NoopSink)
                 .unwrap();
         assert_eq!(cost.failures, 0, "outage-sized policy must recover");
         assert_eq!(sums[tree.root], 6, "total exact after rejoin");
@@ -993,7 +962,7 @@ mod tests {
         let plan = FaultPlan::seeded(9).with_crash(1, 0).with_rejoin(1, 8);
         let policy = RetryPolicy::for_tree(&tree, 2).allowing_outage(plan.max_outage_rounds());
         let (values, cost) =
-            reliable_broadcast_value(&g, &tree, 42, BandwidthModel::Local, &plan, policy).unwrap();
+            reliable_broadcast_value(&g, &tree, 42, LOCAL, &plan, policy, &mut NoopSink).unwrap();
         assert!(
             values.iter().all(|&v| v == Some(42)),
             "rejoined subtree must still receive the value: {values:?}"
@@ -1036,10 +1005,15 @@ mod tests {
                     )
                 })
                 .collect();
-            let mut scratch = EngineScratch::new();
             let options = RunOptions::parallel(threads).with_faults(plan.clone());
             let report = net
-                .run_with_options(states, policy.max_rounds(&tree), &mut scratch, &options)
+                .run(
+                    states,
+                    policy.max_rounds(&tree),
+                    &options,
+                    &mut EngineScratch::new(),
+                    &mut NoopSink,
+                )
                 .unwrap();
             (
                 report.rounds,
@@ -1127,7 +1101,7 @@ mod tests {
         let policy = RetryPolicy::for_tree(&tree, 8);
         let plan = FaultPlan::seeded(42).with_drops(0.3);
         let mut sink = MemorySink::new();
-        let (_, cost) = reliable_convergecast_sums_observed(
+        let (_, cost) = reliable_convergecast_sums(
             &g,
             &tree,
             &values,

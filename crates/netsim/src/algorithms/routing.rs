@@ -13,8 +13,13 @@
 //! Total rounds = the maximum assignment distance (≤ r for MIS
 //! assignments within `N^r`), plus quiescence detection.
 
-use crate::engine::{BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox};
+use crate::engine::{
+    BandwidthModel, EngineError, EngineScratch, MessageSize, Network, NodeProtocol, Outbox,
+    RunOptions,
+};
+use crate::fault::FaultInjectable;
 use crate::graph::{Graph, NodeId};
+use dut_obs::NoopSink;
 use std::collections::VecDeque;
 
 /// A payload in flight: destination plus an opaque value.
@@ -32,6 +37,20 @@ impl MessageSize for Parcel {
         let id_bits = (64 - (self.dest as u64).leading_zeros() as usize).max(1);
         let val_bits = (64 - self.value.leading_zeros() as usize).max(1);
         id_bits + val_bits
+    }
+}
+
+impl FaultInjectable for Parcel {
+    fn flip_bit(&mut self, bit: usize) {
+        // Flip within the metered wire layout: the destination id's
+        // bits, then the value's.
+        let id_bits = (64 - (self.dest as u64).leading_zeros() as usize).max(1);
+        let bit = bit % self.size_bits();
+        if bit < id_bits {
+            self.dest ^= 1 << bit;
+        } else {
+            self.value ^= 1u64 << (bit - id_bits);
+        }
     }
 }
 
@@ -175,7 +194,13 @@ pub fn route_to_centers(
 
     let max_payloads: usize = payloads.iter().map(Vec::len).sum::<usize>().max(1);
     let mut net = Network::new(g, model);
-    let report = net.run(states, 2 * (k + max_payloads) + 8)?;
+    let report = net.run(
+        states,
+        2 * (k + max_payloads) + 8,
+        &RunOptions::serial(),
+        &mut EngineScratch::new(),
+        &mut NoopSink,
+    )?;
     let delivered = report.nodes.into_iter().map(|n| n.delivered).collect();
     Ok((delivered, report.rounds))
 }

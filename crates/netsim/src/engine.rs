@@ -25,12 +25,12 @@
 //!   accounting slot in O(1) through a dense per-node neighbor-position
 //!   index, instead of scanning the neighbor list per send.
 //!
-//! [`Network::run`] is a thin wrapper that allocates a fresh scratch;
-//! hot callers use [`Network::run_with_scratch`] or, for large graphs,
-//! [`Network::run_with_options`] which can step independent nodes on
-//! multiple threads with bit-identical results. The pre-existing
-//! nested-`Vec` engine is retained as [`crate::reference`] for
-//! differential testing and benchmarking.
+//! [`Network::run`] is the one entry point: it takes the
+//! [`RunOptions`] (threads, sparse stepping, sharded delivery, faults),
+//! the caller's scratch, and a metrics [`Sink`]. Large graphs can step
+//! independent nodes on multiple threads with bit-identical results.
+//! The pre-existing nested-`Vec` engine is retained as
+//! [`crate::reference`] for differential testing and benchmarking.
 //!
 //! # Invariants
 //!
@@ -72,7 +72,7 @@
 
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Csr, Graph, ImplicitTopology, NodeId};
-use dut_obs::{keys, NoopSink, Sink, Span};
+use dut_obs::{keys, Sink, Span};
 use std::error::Error;
 use std::fmt;
 
@@ -423,14 +423,16 @@ impl<M> Default for WorkerScratch<M> {
     }
 }
 
-/// Reusable buffers for [`Network::run_with_scratch`].
+/// Reusable buffers for [`Network::run`].
 ///
 /// Holds every allocation the round engine needs: the CSR graph view,
 /// the double-buffered flat message arena, per-destination counts and
 /// offsets, the dense neighbor-position index, and per-neighbor CONGEST
 /// bit accounting. After the first run on a given graph size, subsequent
 /// runs perform no heap allocation (message payloads that themselves
-/// allocate, e.g. `Vec<u64>`, are the protocol's business).
+/// allocate, e.g. `Vec<u64>`, are the protocol's business). A one-off
+/// run passes `&mut EngineScratch::new()`; loops running many trials
+/// hold one scratch and pass it to every run.
 ///
 /// A scratch is keyed by nothing: it adapts to whatever graph the next
 /// run uses, growing buffers as needed and reusing them otherwise.
@@ -531,7 +533,7 @@ impl<M> EngineScratch<M> {
     }
 }
 
-/// Execution options for [`Network::run_with_options`].
+/// Execution options for [`Network::run`].
 ///
 /// The parallel path steps independent nodes on multiple threads and is
 /// **bit-identical** to the serial engine: per-worker staging buffers
@@ -539,6 +541,10 @@ impl<M> EngineScratch<M> {
 /// metrics, and error values do not depend on the thread count. Small
 /// graphs stay serial via `parallel_threshold`, where thread start-up
 /// would dominate.
+///
+/// [`RunOptions::serial`] is the plain path: one thread, dense
+/// stepping, no faults. [`RunOptions::default`] auto-detects the thread
+/// count, so graphs of 512 nodes or more run on the parallel path.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Worker threads to use. `0` means auto-detect from
@@ -549,7 +555,7 @@ pub struct RunOptions {
     pub parallel_threshold: usize,
     /// The fault model applied to the run. [`FaultPlan::none`] (the
     /// default) routes to the plain, unfaulted code paths, so results
-    /// are bit-identical to runs without options. Any active plan is
+    /// are bit-identical to unfaulted runs. Any active plan is
     /// applied identically by the serial and parallel paths (and by
     /// [`crate::reference::run_reference_faulted`]); see
     /// [`crate::fault`].
@@ -1125,147 +1131,69 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
     /// Runs the protocol to quiescence (all nodes done, no messages in
     /// flight) or up to `max_rounds`.
     ///
-    /// Allocates a fresh [`EngineScratch`] per call; loops running many
-    /// trials should hold a scratch and call
-    /// [`Network::run_with_scratch`] instead.
+    /// * `options` chooses the path: [`RunOptions::serial`] is the
+    ///   plain serial loop; other options add threads, sparse stepping,
+    ///   sharded delivery, or a fault plan. Successful runs (and error
+    ///   values) are bit-identical for every thread count, and
+    ///   [`FaultPlan::none`] is bit-identical to an unfaulted run.
+    /// * `scratch` holds every buffer the run needs. Loops running many
+    ///   trials reuse one scratch and do not allocate; a one-off run
+    ///   passes `&mut EngineScratch::new()`.
+    /// * `sink` records `netsim.*` metrics (see [`dut_obs::keys`]):
+    ///   run-total counters plus per-round histograms of messages, bits,
+    ///   max single-edge bits, and wall-clock nanoseconds. Metering and
+    ///   observation stay serial on the merged send buffer, so the
+    ///   recorded metrics do not depend on the thread count. Fault
+    ///   totals (`netsim.fault.*`) are recorded only when a plan is
+    ///   active. A sink never influences execution, and a
+    ///   [`dut_obs::NoopSink`] costs one `enabled()` check per round.
     ///
     /// # Errors
     ///
+    /// * [`EngineError::EmptyNetwork`] if the topology has no nodes.
     /// * [`EngineError::NodeCountMismatch`] if `states` has the wrong
     ///   length.
     /// * [`EngineError::BandwidthExceeded`] on a CONGEST violation.
     /// * [`EngineError::RoundLimit`] if quiescence is not reached.
-    pub fn run<P: NodeProtocol>(
+    pub fn run<P>(
         &mut self,
         states: Vec<P>,
         max_rounds: usize,
-    ) -> Result<RunReport<P>, EngineError> {
-        let mut scratch = EngineScratch::new();
-        self.run_with_scratch(states, max_rounds, &mut scratch)
-    }
-
-    /// Like [`Network::run`], but reuses `scratch` so repeated runs do
-    /// not allocate. The scratch adapts to any graph/protocol pairing;
-    /// results are identical to [`Network::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_with_scratch<P: NodeProtocol>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
-    ) -> Result<RunReport<P>, EngineError> {
-        self.run_with_scratch_observed(states, max_rounds, scratch, &mut NoopSink)
-    }
-
-    /// Like [`Network::run`], recording metrics into `sink` (see
-    /// [`dut_obs::keys`], `netsim.*`): run-total counters plus per-round
-    /// histograms of messages, bits, max single-edge bits, and
-    /// wall-clock nanoseconds. Allocates a fresh scratch per call.
-    ///
-    /// Sinks never influence execution — an observed run makes the same
-    /// decisions, metrics, and errors as an unobserved one, and a
-    /// [`NoopSink`] reduces this to exactly [`Network::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_observed<P: NodeProtocol>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<RunReport<P>, EngineError> {
-        let mut scratch = EngineScratch::new();
-        self.run_with_scratch_observed(states, max_rounds, &mut scratch, sink)
-    }
-
-    /// [`Network::run_observed`] with a caller-held [`EngineScratch`];
-    /// the allocation-free path for instrumented Monte-Carlo loops.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_with_scratch_observed<P: NodeProtocol>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
+        options: &RunOptions,
         scratch: &mut EngineScratch<P::Msg>,
         sink: &mut dyn Sink,
-    ) -> Result<RunReport<P>, EngineError> {
-        let mut states = self.check_states(states)?;
-        let use_csr = scratch.prepare_for(self.graph);
-        let EngineScratch {
-            csr,
-            arena,
-            inbox_offsets,
-            staged,
-            counts,
-            perm,
-            neighbor_pos,
-            edge_bits,
-            nbr_buf,
-            ..
-        } = scratch;
-        let mut metrics = Metrics::new();
-        let mut obs = RoundObs::new();
-
-        for round in 0..max_rounds {
-            if round > 0 && arena.is_empty() && states.iter().all(NodeProtocol::is_done) {
-                record_run(sink, round, &metrics);
-                return Ok(finish(round, metrics, states));
-            }
-            let span = Span::start(&*sink);
-
-            for (node, state) in states.iter_mut().enumerate() {
-                let nbrs: &[NodeId] = if use_csr {
-                    csr.neighbors(node)
-                } else {
-                    self.graph.neighbors(node, nbr_buf)
-                };
-                let start = staged.len();
-                let inbox = &arena[inbox_offsets[node]..inbox_offsets[node + 1]];
-                let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
-                state.on_round(node, round, inbox, &mut out);
-                // A silent node never filled the position index — there
-                // is nothing to meter and nothing to clear.
-                if out.index_filled() {
-                    // Meter immediately so a violation surfaces before
-                    // any later node steps, exactly as the naive engine
-                    // did.
-                    metrics.meter_node(
-                        self.model,
-                        round,
-                        &staged[start..],
-                        neighbor_pos,
-                        edge_bits,
-                        nbrs.len(),
-                    )?;
-                    for &nb in nbrs {
-                        neighbor_pos[nb] = 0;
-                    }
-                }
-            }
-
-            deliver(staged, arena, inbox_offsets, counts, perm);
-            obs.end_round(sink, &mut metrics, span);
+    ) -> Result<RunReport<P>, EngineError>
+    where
+        P: NodeProtocol + Send,
+        P::Msg: Send + Sync + FaultInjectable,
+    {
+        let threads = options.effective_threads(self.graph.node_count());
+        let faults = (!options.faults.is_none()).then_some(&options.faults);
+        if options.sparse || threads <= 1 {
+            // Sparse stepping is a serial mode: the active list, not
+            // node stepping, is the bottleneck it optimizes.
+            let sparse = options.sparse;
+            return if faults.is_none() && !sparse {
+                self.run_serial_core::<P, true>(states, max_rounds, scratch, None, false, sink)
+            } else {
+                self.run_serial_core::<P, false>(states, max_rounds, scratch, faults, sparse, sink)
+            };
         }
-        Err(EngineError::RoundLimit { max_rounds })
+        let shard = options.shard_delivery.then_some(options.shard_threshold);
+        self.run_parallel(states, max_rounds, scratch, threads, faults, shard, sink)
     }
 
-    /// The serial loop with optional fault injection and optional
+    /// The serial round loop, with optional fault injection and optional
     /// sparse-activity stepping. With a plan, crashed nodes are skipped
     /// (and count as done), every staged message is metered at its
     /// original size, and then the plan drops or corrupts it before
     /// delivery. In sparse mode, rounds after the first visit only the
     /// nodes recorded by [`deliver_sparse`] — bit-identical to the
     /// dense loop for silent-stable protocols (see
-    /// [`RunOptions::sparse`]). Kept separate from
-    /// [`Network::run_with_scratch_observed`] so the plain path carries
-    /// neither the extra branches nor the [`FaultInjectable`] bound.
-    fn run_serial_core<P>(
+    /// [`RunOptions::sparse`]). The `PLAIN` copy ignores `plan` and
+    /// `sparse`, so it compiles to a dense loop with neither fault nor
+    /// sparse branches: the fast path of every unfaulted serial run.
+    fn run_serial_core<P, const PLAIN: bool>(
         &mut self,
         states: Vec<P>,
         max_rounds: usize,
@@ -1278,6 +1206,7 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
         P: NodeProtocol,
         P::Msg: FaultInjectable,
     {
+        let (plan, sparse) = if PLAIN { (None, false) } else { (plan, sparse) };
         let mut states = self.check_states(states)?;
         let use_csr = scratch.prepare_for(self.graph);
         let EngineScratch {
@@ -1391,7 +1320,12 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                 let inbox = &arena[lo..hi];
                 let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
                 states[node].on_round(node, round, inbox, &mut out);
+                // A silent node never filled the position index — there
+                // is nothing to meter and nothing to clear.
                 if out.index_filled() {
+                    // Meter immediately so a violation surfaces before
+                    // any later node steps, exactly as the naive engine
+                    // did.
                     metrics.meter_node(
                         self.model,
                         round,
@@ -1440,83 +1374,6 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
             round += 1;
         }
         Err(EngineError::RoundLimit { max_rounds })
-    }
-
-    /// Like [`Network::run_with_scratch`], with optional multi-threaded
-    /// node stepping for large graphs and optional fault injection
-    /// ([`RunOptions::faults`]). Successful runs (and error values) are
-    /// bit-identical to the serial engine regardless of thread count;
-    /// see [`RunOptions`]. With [`FaultPlan::none`] the run is
-    /// bit-identical to [`Network::run_with_scratch`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_with_options<P>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
-        options: &RunOptions,
-    ) -> Result<RunReport<P>, EngineError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync + FaultInjectable,
-    {
-        self.run_with_options_observed(states, max_rounds, scratch, options, &mut NoopSink)
-    }
-
-    /// [`Network::run_with_options`] recording metrics into `sink`.
-    /// Metering and observation stay serial on the merged send buffer,
-    /// so the recorded metrics are bit-identical regardless of thread
-    /// count, exactly like the run results themselves. Fault totals
-    /// (`netsim.fault.*`) are recorded only when a plan is active, so
-    /// unfaulted observed runs emit exactly the streams they always
-    /// did.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_with_options_observed<P>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
-        options: &RunOptions,
-        sink: &mut dyn Sink,
-    ) -> Result<RunReport<P>, EngineError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync + FaultInjectable,
-    {
-        let threads = options.effective_threads(self.graph.node_count());
-        let faults = if options.faults.is_none() {
-            None
-        } else {
-            Some(&options.faults)
-        };
-        if options.sparse {
-            // Sparse stepping is a serial mode: the active list, not
-            // node stepping, is the bottleneck it optimizes.
-            return self.run_serial_core(states, max_rounds, scratch, faults, true, sink);
-        }
-        if threads <= 1 {
-            return match faults {
-                // The fault-free plan routes to the plain serial path:
-                // bit-identical to a run without options, by
-                // construction rather than by argument.
-                None => self.run_with_scratch_observed(states, max_rounds, scratch, sink),
-                Some(plan) => {
-                    self.run_serial_core(states, max_rounds, scratch, Some(plan), false, sink)
-                }
-            };
-        }
-        let shard = if options.shard_delivery {
-            Some(options.shard_threshold)
-        } else {
-            None
-        };
-        self.run_parallel(states, max_rounds, scratch, threads, faults, shard, sink)
     }
 
     fn check_states<P>(&self, states: Vec<P>) -> Result<Vec<P>, EngineError> {
@@ -1577,10 +1434,6 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
             staged,
             counts,
             perm,
-            neighbor_pos,
-            edge_bits,
-            edge_msgs,
-            nbr_buf,
             workers,
             ..
         } = scratch;
@@ -1668,152 +1521,99 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                 staged.append(&mut w.staged);
             }
 
+            // Meter the merged buffer in chunks of whole sender runs
+            // (sends of one node are contiguous): one chunk, or one per
+            // worker on sharded rounds. Chunk totals, survivors, and the
+            // first error merge in chunk order, so any split gives the
+            // per-edge message indices, survivor order, and error of
+            // one serial pass.
             let sharded = shard.is_some_and(|t| staged.len() >= t);
-            if sharded {
-                if sink.enabled() {
-                    sink.add(keys::NETSIM_SHARD_ROUNDS, 1);
-                    sink.add(keys::NETSIM_SHARD_MESSAGES, staged.len() as u64);
+            if sharded && sink.enabled() {
+                sink.add(keys::NETSIM_SHARD_ROUNDS, 1);
+                sink.add(keys::NETSIM_SHARD_MESSAGES, staged.len() as u64);
+            }
+            let chunks = if sharded { threads } else { 1 };
+            perm.clear();
+            perm.push(0);
+            let target = staged.len().div_ceil(chunks);
+            let mut b = 0;
+            for _ in 1..chunks {
+                b = (b + target).min(staged.len());
+                while b < staged.len() && staged[b].1 == staged[b - 1].1 {
+                    b += 1;
                 }
-                // Parallel metering: split the merged buffer at
-                // sender-run boundaries (sends of one node are
-                // contiguous), meter each chunk with worker-local
-                // buffers, and merge totals in chunk order — the same
-                // per-edge message indices, survivor order, and first
-                // error the serial pass produces.
-                perm.clear();
-                perm.push(0);
-                let target = staged.len().div_ceil(threads);
-                let mut b = 0;
-                for _ in 1..threads {
-                    b = (b + target).min(staged.len());
-                    while b < staged.len() && staged[b].1 == staged[b - 1].1 {
-                        b += 1;
-                    }
-                    perm.push(b);
+                perm.push(b);
+            }
+            perm.push(staged.len());
+            let results = {
+                let mut slices: Vec<&mut [(NodeId, NodeId, P::Msg)]> = Vec::with_capacity(chunks);
+                let mut rest: &mut [(NodeId, NodeId, P::Msg)] = staged;
+                let mut prev = 0;
+                for &bnd in &perm[1..] {
+                    let (head, tail) = rest.split_at_mut(bnd - prev);
+                    slices.push(head);
+                    rest = tail;
+                    prev = bnd;
                 }
-                perm.push(staged.len());
-                let results = {
-                    let mut slices: Vec<&mut [(NodeId, NodeId, P::Msg)]> =
-                        Vec::with_capacity(threads);
-                    let mut rest: &mut [(NodeId, NodeId, P::Msg)] = staged;
-                    let mut prev = 0;
-                    for &bnd in &perm[1..] {
-                        let (head, tail) = rest.split_at_mut(bnd - prev);
-                        slices.push(head);
-                        rest = tail;
-                        prev = bnd;
-                    }
-                    let csr: &Csr = csr;
+                let csr: &Csr = csr;
+                let meter = move |slice, worker| {
+                    meter_chunk(model, round, slice, worker, csr, topo, use_csr, faults)
+                };
+                if chunks == 1 {
+                    slices
+                        .into_iter()
+                        .zip(workers.iter_mut())
+                        .map(|(c, w)| meter(c, w))
+                        .collect()
+                } else {
                     crossbeam::scope(|s| {
-                        let mut handles = Vec::with_capacity(threads);
-                        for (slice, worker) in slices.into_iter().zip(workers.iter_mut()) {
-                            handles.push(s.spawn(move |_| {
-                                meter_chunk(model, round, slice, worker, csr, topo, use_csr, faults)
-                            }));
-                        }
+                        let handles: Vec<_> = slices
+                            .into_iter()
+                            .zip(workers.iter_mut())
+                            .map(|(slice, worker)| s.spawn(move |_| meter(slice, worker)))
+                            .collect();
                         handles
                             .into_iter()
                             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                             .collect::<Vec<_>>()
                     })
                     .unwrap_or_else(|p| std::panic::resume_unwind(p))
-                };
-                let mut first_err = None;
-                let mut chunk_survivors = Vec::with_capacity(results.len());
-                for (m, w_local, err) in results {
-                    metrics.total_messages += m.total_messages;
-                    metrics.total_bits += m.total_bits;
-                    metrics.round_max_edge_bits =
-                        metrics.round_max_edge_bits.max(m.round_max_edge_bits);
-                    metrics.dropped_messages += m.dropped_messages;
-                    metrics.flipped_bits += m.flipped_bits;
-                    chunk_survivors.push(w_local);
-                    if first_err.is_none() {
-                        first_err = err;
+                }
+            };
+            let mut first_err = None;
+            let mut chunk_survivors = Vec::with_capacity(chunks);
+            for (m, w_local, err) in results {
+                metrics.total_messages += m.total_messages;
+                metrics.total_bits += m.total_bits;
+                metrics.round_max_edge_bits =
+                    metrics.round_max_edge_bits.max(m.round_max_edge_bits);
+                metrics.dropped_messages += m.dropped_messages;
+                metrics.flipped_bits += m.flipped_bits;
+                chunk_survivors.push(w_local);
+                if first_err.is_none() {
+                    first_err = err;
+                }
+            }
+            if let Some(e) = first_err {
+                return Err(e);
+            }
+            if faults.is_some() {
+                // Survivors sit at the front of each chunk; compact
+                // them across chunks, preserving order.
+                let mut gw = 0;
+                for (c, &survivors) in chunk_survivors.iter().enumerate() {
+                    let chunk_start = perm[c];
+                    for j in 0..survivors {
+                        staged.swap(gw, chunk_start + j);
+                        gw += 1;
                     }
                 }
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                if faults.is_some() {
-                    // Survivors sit at the front of each chunk; compact
-                    // them across chunks, preserving order.
-                    let mut gw = 0;
-                    for (c, &survivors) in chunk_survivors.iter().enumerate() {
-                        let chunk_start = perm[c];
-                        for j in 0..survivors {
-                            staged.swap(gw, chunk_start + j);
-                            gw += 1;
-                        }
-                    }
-                    staged.truncate(gw);
-                }
+                staged.truncate(gw);
+            }
 
+            if sharded {
                 deliver_sharded(staged, arena, inbox_offsets, counts, workers, threads);
             } else {
-                // Meter serially over the merged buffer. Sends of one
-                // node are contiguous, so runs of equal `from` share
-                // one neighbor_pos fill. With faults active, each run
-                // is metered at original size and then
-                // filtered/corrupted into the compaction cursor `w` —
-                // the same per-edge message indices and survivor order
-                // the serial faulted path produces, hence bit-identical
-                // results.
-                let mut i = 0;
-                let mut w = 0;
-                while i < staged.len() {
-                    let from = staged[i].1;
-                    let nbrs: &[NodeId] = if use_csr {
-                        csr.neighbors(from)
-                    } else {
-                        topo.neighbors(from, nbr_buf)
-                    };
-                    for (p, &nb) in nbrs.iter().enumerate() {
-                        neighbor_pos[nb] = p as u32 + 1;
-                    }
-                    let mut j = i;
-                    while j < staged.len() && staged[j].1 == from {
-                        j += 1;
-                    }
-                    let res = metrics.meter_node(
-                        model,
-                        round,
-                        &staged[i..j],
-                        neighbor_pos,
-                        edge_bits,
-                        nbrs.len(),
-                    );
-                    if res.is_ok() {
-                        if let Some(plan) = faults {
-                            for r in i..j {
-                                let to = staged[r].0;
-                                let pos = (neighbor_pos[to] - 1) as usize;
-                                let idx = edge_msgs[pos];
-                                edge_msgs[pos] += 1;
-                                match plan.apply(round, from, to, idx, &mut staged[r].2) {
-                                    None => metrics.dropped_messages += 1,
-                                    Some(flips) => {
-                                        metrics.flipped_bits += flips as usize;
-                                        staged.swap(w, r);
-                                        w += 1;
-                                    }
-                                }
-                            }
-                            for b in edge_msgs.iter_mut().take(nbrs.len()) {
-                                *b = 0;
-                            }
-                        }
-                    }
-                    for &nb in nbrs {
-                        neighbor_pos[nb] = 0;
-                    }
-                    res?;
-                    i = j;
-                }
-                if faults.is_some() {
-                    staged.truncate(w);
-                }
-
                 deliver(staged, arena, inbox_offsets, counts, perm);
             }
             obs.end_round(sink, &mut metrics, span);
@@ -1838,6 +1638,25 @@ fn finish<P>(rounds: usize, metrics: Metrics, states: Vec<P>) -> RunReport<P> {
 mod tests {
     use super::*;
     use crate::topology;
+    use dut_obs::NoopSink;
+
+    /// A plain serial, unobserved run with a fresh scratch.
+    fn run_serial<P>(
+        net: &mut Network<'_>,
+        states: Vec<P>,
+        max_rounds: usize,
+    ) -> Result<RunReport<P>, EngineError>
+    where
+        P: NodeProtocol + Send,
+        P::Msg: Send + Sync + FaultInjectable,
+    {
+        let (options, mut scratch) = (RunOptions::serial(), EngineScratch::new());
+        net.run(states, max_rounds, &options, &mut scratch, &mut NoopSink)
+    }
+
+    fn flood(n: usize) -> Vec<Flood> {
+        vec![Flood { seen: false }; n]
+    }
 
     /// Flood protocol used across the tests.
     #[derive(Clone, Debug)]
@@ -1869,7 +1688,7 @@ mod tests {
     fn flood_reaches_everyone_on_a_line() {
         let g = topology::line(8);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = net.run(vec![Flood { seen: false }; 8], 32).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 8], 32).unwrap();
         assert!(report.nodes.iter().all(|n| n.seen));
         // 0 announces in round 0; node 7 hears in round 7 and re-broadcasts;
         // round 8 drains node 7's broadcast; round 9 detects quiescence.
@@ -1880,7 +1699,7 @@ mod tests {
     fn flood_rounds_scale_with_diameter() {
         let g_star = topology::star(16);
         let mut net = Network::new(&g_star, BandwidthModel::Local);
-        let report = net.run(vec![Flood { seen: false }; 16], 32).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 16], 32).unwrap();
         assert!(
             report.rounds <= 4,
             "star flood took {} rounds",
@@ -1892,7 +1711,7 @@ mod tests {
     fn message_metrics_are_counted() {
         let g = topology::line(3);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = net.run(vec![Flood { seen: false }; 3], 32).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 3], 32).unwrap();
         // round 0: 0->1. round 1: 1->0, 1->2. round 2: 2->1.
         assert_eq!(report.total_messages, 4);
         assert_eq!(report.total_bits, 4); // unit messages cost 1 bit each
@@ -1901,15 +1720,16 @@ mod tests {
 
     #[test]
     fn scratch_reuse_gives_identical_reports() {
+        let serial = RunOptions::serial();
         let g = topology::line(8);
         let mut net = Network::new(&g, BandwidthModel::Local);
         let mut scratch = EngineScratch::new();
         let first = net
-            .run_with_scratch(vec![Flood { seen: false }; 8], 32, &mut scratch)
+            .run(flood(8), 32, &serial, &mut scratch, &mut NoopSink)
             .unwrap();
         for _ in 0..3 {
             let again = net
-                .run_with_scratch(vec![Flood { seen: false }; 8], 32, &mut scratch)
+                .run(flood(8), 32, &serial, &mut scratch, &mut NoopSink)
                 .unwrap();
             assert_eq!(again.rounds, first.rounds);
             assert_eq!(again.total_messages, first.total_messages);
@@ -1920,17 +1740,18 @@ mod tests {
 
     #[test]
     fn scratch_adapts_across_graphs() {
+        let serial = RunOptions::serial();
         let mut scratch = EngineScratch::new();
         let g1 = topology::complete(12);
         let g2 = topology::line(5);
         let mut net1 = Network::new(&g1, BandwidthModel::Local);
         let r1 = net1
-            .run_with_scratch(vec![Flood { seen: false }; 12], 32, &mut scratch)
+            .run(flood(12), 32, &serial, &mut scratch, &mut NoopSink)
             .unwrap();
         assert!(r1.nodes.iter().all(|n| n.seen));
         let mut net2 = Network::new(&g2, BandwidthModel::Local);
         let r2 = net2
-            .run_with_scratch(vec![Flood { seen: false }; 5], 32, &mut scratch)
+            .run(flood(5), 32, &serial, &mut scratch, &mut NoopSink)
             .unwrap();
         assert!(r2.nodes.iter().all(|n| n.seen));
         assert_eq!(r2.rounds, 6);
@@ -1940,15 +1761,16 @@ mod tests {
     fn parallel_run_matches_serial() {
         let g = topology::complete(24);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let serial = net.run(vec![Flood { seen: false }; 24], 32).unwrap();
+        let serial = run_serial(&mut net, vec![Flood { seen: false }; 24], 32).unwrap();
         for threads in [2, 3, 8] {
             let mut scratch = EngineScratch::new();
             let par = net
-                .run_with_options(
+                .run(
                     vec![Flood { seen: false }; 24],
                     32,
-                    &mut scratch,
                     &RunOptions::parallel(threads),
+                    &mut scratch,
+                    &mut NoopSink,
                 )
                 .unwrap();
             assert_eq!(par.rounds, serial.rounds);
@@ -1991,7 +1813,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 64 });
-        let err = net.run(vec![Fat, Fat], 8).unwrap_err();
+        let err = run_serial(&mut net, vec![Fat, Fat], 8).unwrap_err();
         assert!(matches!(err, EngineError::BandwidthExceeded { .. }));
     }
 
@@ -2020,7 +1842,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 100 });
-        let err = net.run(vec![TwoMsgs, TwoMsgs], 8).unwrap_err();
+        let err = run_serial(&mut net, vec![TwoMsgs, TwoMsgs], 8).unwrap_err();
         assert!(matches!(
             err,
             EngineError::BandwidthExceeded { bits: 128, .. }
@@ -2031,7 +1853,7 @@ mod tests {
     fn congest_within_budget_succeeds() {
         let g = topology::line(4);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 8 });
-        let report = net.run(vec![Flood { seen: false }; 4], 32).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 4], 32).unwrap();
         assert!(report.nodes.iter().all(|n| n.seen));
     }
 
@@ -2063,12 +1885,24 @@ mod tests {
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 8 });
         let mut scratch = EngineScratch::new();
         let err = net
-            .run_with_scratch(vec![MaybeFat { armed: true }; 2], 8, &mut scratch)
+            .run(
+                vec![MaybeFat { armed: true }; 2],
+                8,
+                &RunOptions::serial(),
+                &mut scratch,
+                &mut NoopSink,
+            )
             .unwrap_err();
         assert!(matches!(err, EngineError::BandwidthExceeded { .. }));
         // The same scratch must run clean afterwards.
         let ok = net
-            .run_with_scratch(vec![MaybeFat { armed: false }; 2], 8, &mut scratch)
+            .run(
+                vec![MaybeFat { armed: false }; 2],
+                8,
+                &RunOptions::serial(),
+                &mut scratch,
+                &mut NoopSink,
+            )
             .unwrap();
         assert_eq!(ok.total_messages, 0);
         assert_eq!(ok.rounds, 1);
@@ -2096,7 +1930,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let err = net.run(vec![Chatter, Chatter], 10).unwrap_err();
+        let err = run_serial(&mut net, vec![Chatter, Chatter], 10).unwrap_err();
         assert_eq!(err, EngineError::RoundLimit { max_rounds: 10 });
     }
 
@@ -2104,7 +1938,7 @@ mod tests {
     fn node_count_mismatch_detected() {
         let g = topology::line(3);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let err = net.run(vec![Flood { seen: false }; 2], 8).unwrap_err();
+        let err = run_serial(&mut net, vec![Flood { seen: false }; 2], 8).unwrap_err();
         assert!(matches!(err, EngineError::NodeCountMismatch { .. }));
     }
 
@@ -2132,7 +1966,7 @@ mod tests {
         }
         let g = topology::line(3); // 0-1-2: node 2 not adjacent to 0
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let _ = net.run(vec![Bad, Bad, Bad], 8);
+        let _ = run_serial(&mut net, vec![Bad, Bad, Bad], 8);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   materializing an edge list.
 //! * [`engine`] — the synchronous round engine: implement
 //!   [`engine::NodeProtocol`] and run it on any graph under either
-//!   bandwidth model.
+//!   bandwidth model through [`engine::Network::run`], which takes the
+//!   run's [`RunOptions`], a reusable [`EngineScratch`], and a metrics
+//!   sink.
 //! * [`algorithms`] — the building blocks the paper's protocols assume:
 //!   distributed BFS-tree construction, max-id leader election,
 //!   convergecast aggregation and broadcast, and Luby's MIS (on power
@@ -35,9 +37,12 @@
 //! # Example: flooding a token
 //!
 //! ```rust
-//! use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox};
+//! use dut_netsim::engine::{
+//!     BandwidthModel, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
+//! };
 //! use dut_netsim::graph::NodeId;
 //! use dut_netsim::topology;
+//! use dut_obs::NoopSink;
 //!
 //! #[derive(Clone)]
 //! struct Flood { seen: bool }
@@ -62,7 +67,17 @@
 //!
 //! let g = topology::line(8);
 //! let mut net = Network::new(&g, BandwidthModel::Local);
-//! let report = net.run(vec![Flood { seen: false }; 8], 32).unwrap();
+//! // One entry point: options (here the plain serial loop), a scratch
+//! // (reuse one across runs to avoid allocating), and a metrics sink.
+//! let report = net
+//!     .run(
+//!         vec![Flood { seen: false }; 8],
+//!         32,
+//!         &RunOptions::serial(),
+//!         &mut EngineScratch::new(),
+//!         &mut NoopSink,
+//!     )
+//!     .unwrap();
 //! // 7 hops, one round draining the last broadcast, one quiescent round.
 //! assert_eq!(report.rounds, 9);
 //! ```

@@ -14,36 +14,23 @@
 use crate::engine::{BandwidthModel, EngineError, MessageSize, NodeProtocol, Outbox, RunReport};
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Graph, NodeId};
-use dut_obs::{keys, NoopSink, Sink, Span};
+use dut_obs::{keys, Sink, Span};
 
-/// Runs `states` on `graph` under `model` with the naive engine.
+/// Runs `states` on `graph` under `model` with the naive engine,
+/// recording metrics into `sink` under the `reference.*` keys (see
+/// [`dut_obs::keys`]) — the same shape the flat engine records under
+/// `netsim.*`, so a differential harness can compare the two engines'
+/// per-round cost profiles, not just their final reports.
 ///
 /// Semantics (decisions, metrics, error values, panic messages) match
-/// [`crate::engine::Network::run`] exactly; only the implementation
-/// strategy — and therefore the allocation profile — differs.
+/// a serial [`crate::engine::Network::run`] exactly; only the
+/// implementation strategy — and therefore the allocation profile —
+/// differs.
 ///
 /// # Errors
 ///
 /// Same conditions as [`crate::engine::Network::run`].
 pub fn run_reference<P: NodeProtocol>(
-    graph: &Graph,
-    model: BandwidthModel,
-    states: Vec<P>,
-    max_rounds: usize,
-) -> Result<RunReport<P>, EngineError> {
-    run_reference_observed(graph, model, states, max_rounds, &mut NoopSink)
-}
-
-/// [`run_reference`] recording metrics into `sink` under the
-/// `reference.*` keys (see [`dut_obs::keys`]) — the same shape the flat
-/// engine records under `netsim.*`, so a differential harness can
-/// compare the two engines' per-round cost profiles, not just their
-/// final reports.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::engine::Network::run`].
-pub fn run_reference_observed<P: NodeProtocol>(
     graph: &Graph,
     model: BandwidthModel,
     states: Vec<P>,
@@ -165,32 +152,14 @@ pub fn run_reference_observed<P: NodeProtocol>(
 /// Semantics mirror the flat engine exactly: crashed nodes are skipped
 /// and count as done for quiescence; every send is metered at its
 /// original size (the sender pays even for dropped messages); the plan
-/// then drops or bit-flips the message before delivery.
+/// then drops or bit-flips the message before delivery. Metrics go to
+/// `sink` under the `reference.*` keys, plus the `reference.fault.*`
+/// fault totals.
 ///
 /// # Errors
 ///
 /// Same conditions as [`crate::engine::Network::run`].
 pub fn run_reference_faulted<P>(
-    graph: &Graph,
-    model: BandwidthModel,
-    states: Vec<P>,
-    max_rounds: usize,
-    plan: &FaultPlan,
-) -> Result<RunReport<P>, EngineError>
-where
-    P: NodeProtocol,
-    P::Msg: FaultInjectable,
-{
-    run_reference_faulted_observed(graph, model, states, max_rounds, plan, &mut NoopSink)
-}
-
-/// [`run_reference_faulted`] recording metrics into `sink` under the
-/// `reference.*` keys, plus the `reference.fault.*` fault totals.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::engine::Network::run`].
-pub fn run_reference_faulted_observed<P>(
     graph: &Graph,
     model: BandwidthModel,
     states: Vec<P>,
@@ -334,6 +303,7 @@ where
 mod tests {
     use super::*;
     use crate::topology;
+    use dut_obs::NoopSink;
 
     #[derive(Clone, Debug)]
     struct Flood {
@@ -368,6 +338,7 @@ mod tests {
             BandwidthModel::Local,
             vec![Flood { seen: false }; 8],
             32,
+            &mut NoopSink,
         )
         .unwrap();
         assert!(report.nodes.iter().all(|n| n.seen));
@@ -379,6 +350,7 @@ mod tests {
             BandwidthModel::Local,
             vec![Flood { seen: false }; 3],
             32,
+            &mut NoopSink,
         )
         .unwrap();
         assert_eq!(r3.total_messages, 4);
@@ -389,8 +361,14 @@ mod tests {
     #[test]
     fn reference_detects_node_count_mismatch() {
         let g = topology::line(3);
-        let err = run_reference(&g, BandwidthModel::Local, vec![Flood { seen: false }; 2], 8)
-            .unwrap_err();
+        let err = run_reference(
+            &g,
+            BandwidthModel::Local,
+            vec![Flood { seen: false }; 2],
+            8,
+            &mut NoopSink,
+        )
+        .unwrap_err();
         assert!(matches!(err, EngineError::NodeCountMismatch { .. }));
     }
 }

@@ -16,8 +16,23 @@ use dut_netsim::fault::{FaultInjectable, FaultPlan};
 use dut_netsim::graph::{Graph, NodeId};
 use dut_netsim::reference::{run_reference, run_reference_faulted};
 use dut_netsim::topology;
+use dut_obs::NoopSink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A plain serial, unobserved run with a fresh scratch.
+fn run_serial<P>(
+    net: &mut Network<'_>,
+    states: Vec<P>,
+    max_rounds: usize,
+) -> Result<RunReport<P>, EngineError>
+where
+    P: NodeProtocol + Send,
+    P::Msg: Send + Sync + FaultInjectable,
+{
+    let (options, mut scratch) = (RunOptions::serial(), EngineScratch::new());
+    net.run(states, max_rounds, &options, &mut scratch, &mut NoopSink)
+}
 
 // ---------------------------------------------------------------------
 // Protocols
@@ -210,18 +225,17 @@ where
     P: NodeProtocol + Clone + PartialEq + std::fmt::Debug + Send,
     P::Msg: Send + Sync + FaultInjectable,
 {
-    let reference = run_reference(g, model, states.clone(), max_rounds)
+    let reference = run_reference(g, model, states.clone(), max_rounds, &mut NoopSink)
         .unwrap_or_else(|e| panic!("{label}: reference failed: {e}"));
 
     let mut net = Network::new(g, model);
-    let serial = net
-        .run(states.clone(), max_rounds)
+    let serial = run_serial(&mut net, states.clone(), max_rounds)
         .unwrap_or_else(|e| panic!("{label}: serial flat engine failed: {e}"));
     assert_reports_equal(&format!("{label} (serial)"), &reference, &serial);
 
-    let mut scratch = EngineScratch::new();
+    let (options, mut scratch) = (RunOptions::parallel(3), EngineScratch::new());
     let parallel = net
-        .run_with_options(states, max_rounds, &mut scratch, &RunOptions::parallel(3))
+        .run(states, max_rounds, &options, &mut scratch, &mut NoopSink)
         .unwrap_or_else(|e| panic!("{label}: parallel flat engine failed: {e}"));
     assert_reports_equal(&format!("{label} (parallel)"), &reference, &parallel);
 }
@@ -311,19 +325,19 @@ fn bandwidth_errors_match_reference() {
             .collect();
         let model = BandwidthModel::Congest { bits_per_edge: 512 };
 
-        let ref_err = run_reference(&g, model, states.clone(), 16).unwrap_err();
+        let ref_err = run_reference(&g, model, states.clone(), 16, &mut NoopSink).unwrap_err();
         assert!(
             matches!(ref_err, EngineError::BandwidthExceeded { .. }),
             "{name}: reference produced {ref_err:?}"
         );
 
         let mut net = Network::new(&g, model);
-        let serial_err = net.run(states.clone(), 16).unwrap_err();
+        let serial_err = run_serial(&mut net, states.clone(), 16).unwrap_err();
         assert_eq!(ref_err, serial_err, "{name}: serial error");
 
-        let mut scratch = EngineScratch::new();
+        let (options, mut scratch) = (RunOptions::parallel(3), EngineScratch::new());
         let parallel_err = net
-            .run_with_options(states, 16, &mut scratch, &RunOptions::parallel(3))
+            .run(states, 16, &options, &mut scratch, &mut NoopSink)
             .unwrap_err();
         assert_eq!(ref_err, parallel_err, "{name}: parallel error");
     }
@@ -335,16 +349,17 @@ fn round_limit_errors_match_reference() {
         let k = g.node_count();
         let states = vec![Chatter; k];
 
-        let ref_err = run_reference(&g, BandwidthModel::Local, states.clone(), 7).unwrap_err();
+        let ref_err =
+            run_reference(&g, BandwidthModel::Local, states.clone(), 7, &mut NoopSink).unwrap_err();
         assert_eq!(ref_err, EngineError::RoundLimit { max_rounds: 7 });
 
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let serial_err = net.run(states.clone(), 7).unwrap_err();
+        let serial_err = run_serial(&mut net, states.clone(), 7).unwrap_err();
         assert_eq!(ref_err, serial_err, "{name}: serial error");
 
-        let mut scratch = EngineScratch::new();
+        let (options, mut scratch) = (RunOptions::parallel(3), EngineScratch::new());
         let parallel_err = net
-            .run_with_options(states, 7, &mut scratch, &RunOptions::parallel(3))
+            .run(states, 7, &options, &mut scratch, &mut NoopSink)
             .unwrap_err();
         assert_eq!(ref_err, parallel_err, "{name}: parallel error");
     }
@@ -418,16 +433,29 @@ fn fault_differential<P>(
     P: NodeProtocol + Clone + PartialEq + std::fmt::Debug + Send,
     P::Msg: Send + Sync + FaultInjectable,
 {
-    let reference = run_reference_faulted(g, model, states.clone(), max_rounds, plan);
+    let reference =
+        run_reference_faulted(g, model, states.clone(), max_rounds, plan, &mut NoopSink);
 
     let mut net = Network::new(g, model);
     let mut scratch = EngineScratch::new();
     let serial_options = RunOptions::default().with_faults(plan.clone());
-    let serial = net.run_with_options(states.clone(), max_rounds, &mut scratch, &serial_options);
+    let serial = net.run(
+        states.clone(),
+        max_rounds,
+        &serial_options,
+        &mut scratch,
+        &mut NoopSink,
+    );
     assert_outcomes_equal(&format!("{label} (serial)"), &reference, &serial);
 
     let parallel_options = RunOptions::parallel(3).with_faults(plan.clone());
-    let parallel = net.run_with_options(states, max_rounds, &mut scratch, &parallel_options);
+    let parallel = net.run(
+        states,
+        max_rounds,
+        &parallel_options,
+        &mut scratch,
+        &mut NoopSink,
+    );
     assert_outcomes_equal(&format!("{label} (parallel)"), &reference, &parallel);
 }
 
@@ -537,13 +565,19 @@ fn zero_fault_plan_matches_unfaulted_run() {
             let k = g.node_count();
             let plain = {
                 let mut net = Network::new(&g, BandwidthModel::Local);
-                net.run(vec![Bfs { dist: None }; k], 4 * k).unwrap()
+                run_serial(&mut net, vec![Bfs { dist: None }; k], 4 * k).unwrap()
             };
             let mut net = Network::new(&g, BandwidthModel::Local);
             let mut scratch = EngineScratch::new();
             let options = RunOptions::default().with_faults(plan.clone());
             let faulted = net
-                .run_with_options(vec![Bfs { dist: None }; k], 4 * k, &mut scratch, &options)
+                .run(
+                    vec![Bfs { dist: None }; k],
+                    4 * k,
+                    &options,
+                    &mut scratch,
+                    &mut NoopSink,
+                )
                 .unwrap();
             assert_reports_equal(&format!("bfs-zero-fault/{name}"), &plain, &faulted);
         }
@@ -566,11 +600,18 @@ fn one_scratch_reused_across_topologies_matches_reference() {
             BandwidthModel::Local,
             vec![Bfs { dist: None }; k],
             4 * k,
+            &mut NoopSink,
         )
         .unwrap();
         let mut net = Network::new(&g, BandwidthModel::Local);
         let report = net
-            .run_with_scratch(vec![Bfs { dist: None }; k], 4 * k, &mut scratch)
+            .run(
+                vec![Bfs { dist: None }; k],
+                4 * k,
+                &RunOptions::serial(),
+                &mut scratch,
+                &mut NoopSink,
+            )
             .unwrap();
         assert_reports_equal(&format!("bfs-reused-scratch/{name}"), &reference, &report);
     }

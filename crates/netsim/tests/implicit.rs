@@ -11,12 +11,28 @@ use dut_netsim::engine::{
     BandwidthModel, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
     RunReport,
 };
-use dut_netsim::fault::FaultPlan;
+use dut_netsim::fault::{FaultInjectable, FaultPlan};
 use dut_netsim::graph::{Graph, ImplicitTopology, NodeId};
 use dut_netsim::topology::{
     Hypercube, ImplicitLine, ImplicitRing, ImplicitTree, MargulisExpander, Torus2d,
 };
+use dut_obs::NoopSink;
 use proptest::prelude::*;
+
+/// A plain serial, unobserved run with a fresh scratch.
+fn run_serial<T, P>(
+    net: &mut Network<'_, T>,
+    states: Vec<P>,
+    max_rounds: usize,
+) -> Result<RunReport<P>, EngineError>
+where
+    T: ImplicitTopology,
+    P: NodeProtocol + Send,
+    P::Msg: Send + Sync + FaultInjectable,
+{
+    let (options, mut scratch) = (RunOptions::serial(), EngineScratch::new());
+    net.run(states, max_rounds, &options, &mut scratch, &mut NoopSink)
+}
 
 // ---------------------------------------------------------------------
 // Protocols (same shapes as tests/differential.rs)
@@ -189,31 +205,24 @@ fn assert_runs_match<T: ImplicitTopology>(label: &str, topo: &T) {
     let mut mat_net = Network::new(&g, model);
     let mut imp_net = Network::new(topo, model);
 
-    let mat = mat_net
-        .run(vec![Bfs { dist: None }; k], max_rounds)
-        .unwrap();
-    let imp = imp_net
-        .run(vec![Bfs { dist: None }; k], max_rounds)
-        .unwrap();
+    let mat = run_serial(&mut mat_net, vec![Bfs { dist: None }; k], max_rounds).unwrap();
+    let imp = run_serial(&mut imp_net, vec![Bfs { dist: None }; k], max_rounds).unwrap();
     assert_reports_equal(&format!("{label}/bfs"), &mat, &imp);
 
     let mut scratch = EngineScratch::new();
     let imp_par = imp_net
-        .run_with_options(
+        .run(
             vec![Bfs { dist: None }; k],
             max_rounds,
-            &mut scratch,
             &RunOptions::parallel(3),
+            &mut scratch,
+            &mut NoopSink,
         )
         .unwrap();
     assert_reports_equal(&format!("{label}/bfs-parallel"), &mat, &imp_par);
 
-    let mat = mat_net
-        .run(vec![Flood { seen: false }; k], max_rounds)
-        .unwrap();
-    let imp = imp_net
-        .run(vec![Flood { seen: false }; k], max_rounds)
-        .unwrap();
+    let mat = run_serial(&mut mat_net, vec![Flood { seen: false }; k], max_rounds).unwrap();
+    let imp = run_serial(&mut imp_net, vec![Flood { seen: false }; k], max_rounds).unwrap();
     assert_reports_equal(&format!("{label}/flood"), &mat, &imp);
 }
 
@@ -293,26 +302,28 @@ fn sparse_matches_dense_on_wavefront_protocols() {
     for (name, g) in &graphs {
         let k = g.node_count();
         let mut net = Network::new(g, BandwidthModel::Local);
-        let dense = net.run(vec![Bfs { dist: None }; k], 4 * k).unwrap();
+        let dense = run_serial(&mut net, vec![Bfs { dist: None }; k], 4 * k).unwrap();
         let mut scratch = EngineScratch::new();
         let sparse = net
-            .run_with_options(
+            .run(
                 vec![Bfs { dist: None }; k],
                 4 * k,
-                &mut scratch,
                 &RunOptions::serial().with_sparse(),
+                &mut scratch,
+                &mut NoopSink,
             )
             .unwrap();
         assert_reports_equal(&format!("sparse-bfs/{name}"), &dense, &sparse);
 
-        let dense = net.run(vec![Flood { seen: false }; k], 4 * k).unwrap();
+        let dense = run_serial(&mut net, vec![Flood { seen: false }; k], 4 * k).unwrap();
         let mut flood_scratch = EngineScratch::new();
         let sparse = net
-            .run_with_options(
+            .run(
                 vec![Flood { seen: false }; k],
                 4 * k,
-                &mut flood_scratch,
                 &RunOptions::serial().with_sparse(),
+                &mut flood_scratch,
+                &mut NoopSink,
             )
             .unwrap();
         assert_reports_equal(&format!("sparse-flood/{name}"), &dense, &sparse);
@@ -338,17 +349,19 @@ fn sparse_matches_dense_under_faults() {
     for (i, plan) in plans.iter().enumerate() {
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 64 });
         let mut scratch = EngineScratch::new();
-        let dense = net.run_with_options(
+        let dense = net.run(
             vec![Bfs { dist: None }; k],
             4 * k,
-            &mut scratch,
             &RunOptions::serial().with_faults(plan.clone()),
+            &mut scratch,
+            &mut NoopSink,
         );
-        let sparse = net.run_with_options(
+        let sparse = net.run(
             vec![Bfs { dist: None }; k],
             4 * k,
-            &mut scratch,
             &RunOptions::serial().with_faults(plan.clone()).with_sparse(),
+            &mut scratch,
+            &mut NoopSink,
         );
         assert_outcomes_equal(&format!("sparse-faulted/{i}"), &dense, &sparse);
     }
@@ -377,14 +390,15 @@ fn sparse_round_limit_error_matches_dense() {
     }
     let g = dut_netsim::topology::line(6);
     let mut net = Network::new(&g, BandwidthModel::Local);
-    let dense = net.run(vec![NeverDone; 6], 12).unwrap_err();
+    let dense = run_serial(&mut net, vec![NeverDone; 6], 12).unwrap_err();
     let mut scratch = EngineScratch::new();
     let sparse = net
-        .run_with_options(
+        .run(
             vec![NeverDone; 6],
             12,
-            &mut scratch,
             &RunOptions::serial().with_sparse(),
+            &mut scratch,
+            &mut NoopSink,
         )
         .unwrap_err();
     assert_eq!(dense, sparse);
@@ -457,19 +471,21 @@ fn sparse_fast_forwards_over_quiet_outages() {
     let mut net = Network::new(&g, BandwidthModel::Local);
     let mut scratch = EngineScratch::new();
     let dense = net
-        .run_with_options(
+        .run(
             fresh(),
             128,
-            &mut scratch,
             &RunOptions::serial().with_faults(plan.clone()),
+            &mut scratch,
+            &mut NoopSink,
         )
         .unwrap();
     let sparse = net
-        .run_with_options(
+        .run(
             fresh(),
             128,
-            &mut scratch,
             &RunOptions::serial().with_faults(plan.clone()).with_sparse(),
+            &mut scratch,
+            &mut NoopSink,
         )
         .unwrap();
     assert_reports_equal("sparse-rejoin-wakeup", &dense, &sparse);
@@ -488,19 +504,21 @@ fn sparse_fast_forwards_over_quiet_outages() {
     // the identical RoundLimit (sparse fast-forwards to it).
     let stuck = FaultPlan::seeded(0xFF02).with_crash(3, 1);
     let dense = net
-        .run_with_options(
+        .run(
             fresh(),
             64,
-            &mut scratch,
             &RunOptions::serial().with_faults(stuck.clone()),
+            &mut scratch,
+            &mut NoopSink,
         )
         .map(|_| ());
     let sparse = net
-        .run_with_options(
+        .run(
             fresh(),
             64,
-            &mut scratch,
             &RunOptions::serial().with_faults(stuck).with_sparse(),
+            &mut scratch,
+            &mut NoopSink,
         )
         .map(|_| ());
     assert_eq!(dense, sparse);
@@ -524,12 +542,12 @@ fn sharded_delivery_matches_serial_at_all_thread_counts() {
     let torus = Torus2d::new(16, 16);
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let serial = net.run(gossip_states(k), 64).unwrap();
+    let serial = run_serial(&mut net, gossip_states(k), 64).unwrap();
     for threads in [1usize, 2, 8] {
         let mut scratch = EngineScratch::new();
         let opts = RunOptions::parallel(threads).with_shard_delivery(0);
         let sharded = net
-            .run_with_options(gossip_states(k), 64, &mut scratch, &opts)
+            .run(gossip_states(k), 64, &opts, &mut scratch, &mut NoopSink)
             .unwrap();
         assert_reports_equal(&format!("sharded/{threads}"), &serial, &sharded);
     }
@@ -554,17 +572,18 @@ fn sharded_delivery_matches_serial_under_fault_plans() {
     for (i, plan) in plans.iter().enumerate() {
         let mut net = Network::new(&torus, BandwidthModel::Local);
         let mut scratch = EngineScratch::new();
-        let serial = net.run_with_options(
+        let serial = net.run(
             gossip_states(k),
             64,
-            &mut scratch,
             &RunOptions::serial().with_faults(plan.clone()),
+            &mut scratch,
+            &mut NoopSink,
         );
         for threads in [2usize, 8] {
             let opts = RunOptions::parallel(threads)
                 .with_faults(plan.clone())
                 .with_shard_delivery(0);
-            let sharded = net.run_with_options(gossip_states(k), 64, &mut scratch, &opts);
+            let sharded = net.run(gossip_states(k), 64, &opts, &mut scratch, &mut NoopSink);
             assert_outcomes_equal(&format!("sharded-faulted/{i}/{threads}"), &serial, &sharded);
         }
     }
@@ -578,11 +597,11 @@ fn shard_threshold_gates_per_round() {
     let torus = Torus2d::new(10, 10);
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let serial = net.run(gossip_states(k), 64).unwrap();
+    let serial = run_serial(&mut net, gossip_states(k), 64).unwrap();
     let mut scratch = EngineScratch::new();
     let opts = RunOptions::parallel(4).with_shard_delivery(usize::MAX);
     let gated = net
-        .run_with_options(gossip_states(k), 64, &mut scratch, &opts)
+        .run(gossip_states(k), 64, &opts, &mut scratch, &mut NoopSink)
         .unwrap();
     assert_reports_equal("shard-gated", &serial, &gated);
 }
@@ -596,23 +615,30 @@ fn empty_network_is_a_typed_error() {
     let g = dut_netsim::topology::line(0);
     let mut net = Network::new(&g, BandwidthModel::Local);
     assert_eq!(
-        net.run(Vec::<Flood>::new(), 8).unwrap_err(),
+        run_serial(&mut net, Vec::<Flood>::new(), 8).unwrap_err(),
         EngineError::EmptyNetwork
     );
     let mut scratch = EngineScratch::new();
     assert_eq!(
-        net.run_with_options(
+        net.run(
             Vec::<Flood>::new(),
             8,
+            &RunOptions::parallel(4),
             &mut scratch,
-            &RunOptions::parallel(4)
+            &mut NoopSink
         )
         .unwrap_err(),
         EngineError::EmptyNetwork
     );
     assert_eq!(
-        dut_netsim::reference::run_reference(&g, BandwidthModel::Local, Vec::<Flood>::new(), 8)
-            .unwrap_err(),
+        dut_netsim::reference::run_reference(
+            &g,
+            BandwidthModel::Local,
+            Vec::<Flood>::new(),
+            8,
+            &mut NoopSink
+        )
+        .unwrap_err(),
         EngineError::EmptyNetwork
     );
 }
@@ -626,7 +652,7 @@ fn singleton_networks_run() {
         Torus2d::new(1, 1).materialize(),
     ] {
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = net.run(vec![Flood { seen: false }; 1], 8).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 1], 8).unwrap();
         // Node 0 marks itself seen in round 0 and has no one to tell.
         assert!(report.nodes[0].seen);
         assert_eq!(report.total_messages, 0);

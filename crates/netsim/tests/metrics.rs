@@ -2,12 +2,12 @@
 //! with the engine's own [`RunReport`], and observing a run must never
 //! change its outcome.
 
-use dut_netsim::algorithms::{broadcast_value_observed, build_bfs_tree, convergecast_sum_observed};
-use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox};
+use dut_netsim::algorithms::{broadcast_value, build_bfs_tree, convergecast_sum};
+use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunReport};
 use dut_netsim::graph::{Graph, NodeId};
-use dut_netsim::reference::{run_reference, run_reference_observed};
+use dut_netsim::reference::run_reference;
 use dut_netsim::{topology, EngineScratch, RunOptions};
-use dut_obs::{keys, MemorySink, NoopSink};
+use dut_obs::{keys, Histogram, MemorySink, NoopSink, Sink};
 
 /// Flood with a 32-bit payload so bit totals are non-trivial.
 #[derive(Clone, Debug)]
@@ -39,6 +39,33 @@ fn flood_states(n: usize) -> Vec<Flood> {
     vec![Flood { seen: false }; n]
 }
 
+/// Floods every node of `net` under `options`, recording into `sink`.
+fn flood(
+    net: &mut Network<'_>,
+    options: &RunOptions,
+    scratch: &mut EngineScratch<u32>,
+    sink: &mut dyn Sink,
+) -> RunReport<Flood> {
+    let n = net.graph().node_count();
+    net.run(flood_states(n), 64, options, scratch, sink)
+        .unwrap()
+}
+
+/// Every counter and histogram a sink holds, minus the wall-clock
+/// `*.nanos` histograms, which differ from run to run.
+type Recorded = (Vec<(&'static str, u64)>, Vec<(&'static str, Histogram)>);
+
+fn without_nanos(sink: &MemorySink) -> Recorded {
+    let timed = |k: &str| k.ends_with(".nanos");
+    (
+        sink.counters().filter(|(k, _)| !timed(k)).collect(),
+        sink.histograms()
+            .filter(|(k, _)| !timed(k))
+            .map(|(k, h)| (k, h.clone()))
+            .collect(),
+    )
+}
+
 fn topologies() -> Vec<(&'static str, Graph)> {
     vec![
         ("clique", topology::complete(16)),
@@ -49,11 +76,11 @@ fn topologies() -> Vec<(&'static str, Graph)> {
 
 #[test]
 fn sink_bits_match_report_on_clique_line_tree() {
+    let (serial, parallel) = (RunOptions::serial(), RunOptions::parallel(2));
     for (name, g) in topologies() {
-        let n = g.node_count();
         let mut net = Network::new(&g, BandwidthModel::Local);
         let mut sink = MemorySink::new();
-        let report = net.run_observed(flood_states(n), 64, &mut sink).unwrap();
+        let report = flood(&mut net, &serial, &mut EngineScratch::new(), &mut sink);
 
         assert_eq!(
             sink.counter(keys::NETSIM_BITS),
@@ -88,21 +115,50 @@ fn sink_bits_match_report_on_clique_line_tree() {
             report.max_edge_bits_per_round as u64,
             "{name}"
         );
+
+        // The plain dense loop records neither fault nor sparse keys,
+        // and its stream is the parallel path's, up to wall-clock.
+        let (counters, histograms) = without_nanos(&sink);
+        let keys = counters
+            .iter()
+            .map(|c| c.0)
+            .chain(histograms.iter().map(|h| h.0));
+        for key in keys {
+            assert!(
+                !key.starts_with("netsim.fault.") && !key.starts_with("netsim.sparse."),
+                "{name}: unfaulted dense run recorded {key}"
+            );
+        }
+        let mut par_sink = MemorySink::new();
+        let par = flood(
+            &mut net,
+            &parallel,
+            &mut EngineScratch::new(),
+            &mut par_sink,
+        );
+        assert_eq!(par.total_bits, report.total_bits, "{name}");
+        assert_eq!(
+            without_nanos(&par_sink),
+            without_nanos(&sink),
+            "{name}: parallel(2) sink differs from the serial sink"
+        );
     }
 }
 
 #[test]
 fn noop_sink_is_bit_identical_to_unobserved_runs() {
+    let serial = RunOptions::serial();
     for (name, g) in topologies() {
         let n = g.node_count();
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 64 });
-        let plain = net.run(flood_states(n), 64).unwrap();
+        let plain = flood(&mut net, &serial, &mut EngineScratch::new(), &mut NoopSink);
+        // A reused scratch, then a recording sink: neither may change
+        // the run.
         let mut scratch = EngineScratch::new();
-        let noop = net
-            .run_with_scratch_observed(flood_states(n), 64, &mut scratch, &mut NoopSink)
-            .unwrap();
+        flood(&mut net, &serial, &mut scratch, &mut NoopSink);
+        let noop = flood(&mut net, &serial, &mut scratch, &mut NoopSink);
         let mut mem = MemorySink::new();
-        let observed = net.run_observed(flood_states(n), 64, &mut mem).unwrap();
+        let observed = flood(&mut net, &serial, &mut EngineScratch::new(), &mut mem);
 
         for (label, r) in [("noop", &noop), ("memory", &observed)] {
             assert_eq!(r.rounds, plain.rounds, "{name}/{label}");
@@ -115,10 +171,10 @@ fn noop_sink_is_bit_identical_to_unobserved_runs() {
         }
 
         // Differential check against the reference engine, both ways.
-        let reference = run_reference(&g, net.model(), flood_states(n), 64).unwrap();
+        let reference = run_reference(&g, net.model(), flood_states(n), 64, &mut NoopSink).unwrap();
         let mut ref_sink = MemorySink::new();
         let reference_obs =
-            run_reference_observed(&g, net.model(), flood_states(n), 64, &mut ref_sink).unwrap();
+            run_reference(&g, net.model(), flood_states(n), 64, &mut ref_sink).unwrap();
         assert_eq!(reference.rounds, plain.rounds, "{name}");
         assert_eq!(reference.total_bits, plain.total_bits, "{name}");
         assert_eq!(reference_obs.total_bits, plain.total_bits, "{name}");
@@ -133,22 +189,20 @@ fn noop_sink_is_bit_identical_to_unobserved_runs() {
 #[test]
 fn parallel_observed_metrics_match_serial() {
     let g = topology::complete(24);
-    let n = g.node_count();
     let mut net = Network::new(&g, BandwidthModel::Local);
     let mut serial_sink = MemorySink::new();
-    net.run_observed(flood_states(n), 64, &mut serial_sink)
-        .unwrap();
+    let serial = RunOptions::serial();
+    flood(
+        &mut net,
+        &serial,
+        &mut EngineScratch::new(),
+        &mut serial_sink,
+    );
     for threads in [2, 4] {
         let mut scratch = EngineScratch::new();
         let mut par_sink = MemorySink::new();
-        net.run_with_options_observed(
-            flood_states(n),
-            64,
-            &mut scratch,
-            &RunOptions::parallel(threads),
-            &mut par_sink,
-        )
-        .unwrap();
+        let options = RunOptions::parallel(threads);
+        flood(&mut net, &options, &mut scratch, &mut par_sink);
         for key in [
             keys::NETSIM_RUNS,
             keys::NETSIM_ROUNDS,
@@ -171,6 +225,11 @@ fn parallel_observed_metrics_match_serial() {
                 .unwrap()
                 .buckets(),
         );
+        assert_eq!(
+            without_nanos(&par_sink),
+            without_nanos(&serial_sink),
+            "{threads} threads: full metric stream"
+        );
     }
 }
 
@@ -182,8 +241,7 @@ fn tree_primitives_report_their_wire_cost() {
     let mut sink = MemorySink::new();
 
     let values = vec![1u64; g.node_count()];
-    let (total, conv_cost) =
-        convergecast_sum_observed(&g, &tree, &values, model, &mut sink).unwrap();
+    let (total, conv_cost) = convergecast_sum(&g, &tree, &values, model, &mut sink).unwrap();
     assert_eq!(total, 15);
     assert_eq!(sink.counter(keys::CONVERGECAST_RUNS), 1);
     assert_eq!(sink.counter(keys::CONVERGECAST_BITS), conv_cost.bits as u64);
@@ -194,7 +252,7 @@ fn tree_primitives_report_their_wire_cost() {
     // Every non-root node sends exactly one message up the tree.
     assert_eq!(conv_cost.messages, g.node_count() - 1);
 
-    let (vals, bcast_cost) = broadcast_value_observed(&g, &tree, 9, model, &mut sink).unwrap();
+    let (vals, bcast_cost) = broadcast_value(&g, &tree, 9, model, &mut sink).unwrap();
     assert!(vals.iter().all(|&v| v == 9));
     assert_eq!(sink.counter(keys::BROADCAST_BITS), bcast_cost.bits as u64);
     assert_eq!(bcast_cost.messages, g.node_count() - 1);

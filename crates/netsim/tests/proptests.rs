@@ -7,6 +7,7 @@ use dut_netsim::algorithms::mis::{luby_mis, verify_mis};
 use dut_netsim::engine::BandwidthModel;
 use dut_netsim::power::{neighborhood, power_graph};
 use dut_netsim::topology::{connected_erdos_renyi, Topology};
+use dut_obs::NoopSink;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,17 +54,18 @@ proptest! {
         let values: Vec<u64> = (0..g.node_count())
             .map(|_| rand::Rng::gen_range(&mut rng, 0..100u64))
             .collect();
-        let (total, _) = convergecast_sum(&g, &tree, &values, BandwidthModel::Local).unwrap();
+        let (total, _) =
+            convergecast_sum(&g, &tree, &values, BandwidthModel::Local, &mut NoopSink).unwrap();
         prop_assert_eq!(total, values.iter().sum::<u64>());
     }
 
     #[test]
     fn broadcast_delivers_everywhere(g in arb_connected_graph(), value in any::<u32>()) {
         let (tree, _) = build_bfs_tree(&g, 0, BandwidthModel::Local).unwrap();
-        let (values, rounds) =
-            broadcast_value(&g, &tree, value as u64, BandwidthModel::Local).unwrap();
+        let (values, cost) =
+            broadcast_value(&g, &tree, value as u64, BandwidthModel::Local, &mut NoopSink).unwrap();
         prop_assert!(values.iter().all(|&v| v == value as u64));
-        prop_assert!(rounds <= tree.height + 3);
+        prop_assert!(cost.rounds <= tree.height + 3);
     }
 
     #[test]

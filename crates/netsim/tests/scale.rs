@@ -10,6 +10,7 @@ use dut_netsim::engine::{
 };
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_netsim::topology::Torus2d;
+use dut_obs::NoopSink;
 
 /// 1000×1000 torus: one million nodes, two million edges, never
 /// materialized.
@@ -106,11 +107,12 @@ fn million_node_torus_bfs_completes() {
     let mut net = Network::new(&torus, BandwidthModel::Local);
     let mut scratch = EngineScratch::new();
     let report = net
-        .run_with_options(
+        .run(
             vec![Bfs { dist: None }; k],
             1100,
-            &mut scratch,
             &RunOptions::serial().with_sparse(),
+            &mut scratch,
+            &mut NoopSink,
         )
         .expect("BFS on the 1000x1000 torus must quiesce");
     // Torus eccentricity of node 0 is 500 + 500; one extra round drains
@@ -139,14 +141,21 @@ fn million_node_sharded_delivery_is_bit_identical() {
     let mut net = Network::new(&torus, BandwidthModel::Local);
     let mut scratch = EngineScratch::new();
     let serial = net
-        .run_with_options(states(), 16, &mut scratch, &RunOptions::serial())
-        .unwrap();
-    let sharded = net
-        .run_with_options(
+        .run(
             states(),
             16,
+            &RunOptions::serial(),
             &mut scratch,
+            &mut NoopSink,
+        )
+        .unwrap();
+    let sharded = net
+        .run(
+            states(),
+            16,
             &RunOptions::parallel(8).with_shard_delivery(4096),
+            &mut scratch,
+            &mut NoopSink,
         )
         .unwrap();
     assert_reports_equal("million-gossip", &serial, &sharded);
@@ -175,21 +184,23 @@ fn million_node_sharded_delivery_is_bit_identical_under_faults() {
     let mut net = Network::new(&torus, BandwidthModel::Local);
     let mut scratch = EngineScratch::new();
     let serial = net
-        .run_with_options(
+        .run(
             states(),
             16,
-            &mut scratch,
             &RunOptions::serial().with_faults(plan.clone()),
+            &mut scratch,
+            &mut NoopSink,
         )
         .unwrap();
     let sharded = net
-        .run_with_options(
+        .run(
             states(),
             16,
-            &mut scratch,
             &RunOptions::parallel(8)
                 .with_faults(plan)
                 .with_shard_delivery(4096),
+            &mut scratch,
+            &mut NoopSink,
         )
         .unwrap();
     assert_reports_equal("million-gossip-faulted", &serial, &sharded);

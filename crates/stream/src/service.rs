@@ -73,7 +73,6 @@ pub struct StreamService {
     shards: Vec<Shard>,
     looks: usize,
     pushes: u64,
-    evictions_recorded: u64,
 }
 
 impl StreamService {
@@ -114,7 +113,6 @@ impl StreamService {
             shards,
             looks: 0,
             pushes: 0,
-            evictions_recorded: 0,
         })
     }
 
@@ -147,6 +145,14 @@ impl StreamService {
     /// Returns [`StreamError::OutOfDomain`] if `sample` is outside the
     /// configured domain; the service state is unchanged.
     pub fn ingest(&mut self, label: u64, sample: usize) -> Result<(), StreamError> {
+        self.window(label, sample)?.push(sample);
+        self.pushes += 1;
+        Ok(())
+    }
+
+    /// The window of stream `label` that `sample` goes into, created on
+    /// the stream's first sample.
+    fn window(&mut self, label: u64, sample: usize) -> Result<&mut StreamState, StreamError> {
         if sample >= self.cfg.domain {
             return Err(StreamError::OutOfDomain {
                 sample,
@@ -155,17 +161,16 @@ impl StreamService {
         }
         let shard = self.shard_of(label);
         let cfg = self.cfg;
-        let window = self.shards[shard].streams.entry(label).or_insert_with(|| {
+        Ok(self.shards[shard].streams.entry(label).or_insert_with(|| {
             SlidingWindow::new(cfg.window, CollisionSketch::new(cfg.domain, cfg.epsilon))
-        });
-        window.push(sample);
-        self.pushes += 1;
-        Ok(())
+        }))
     }
 
     /// [`ingest`](Self::ingest) with `stream.*` metrics recorded to
-    /// `sink`. Sinks never touch sketch state, so an observed ingest is
-    /// bit-identical to the plain one.
+    /// `sink`: the push, a new stream, and the evictions this push
+    /// caused (never those of earlier unobserved ingests). Sinks never
+    /// touch sketch state, so an observed ingest is bit-identical to
+    /// the plain one.
     pub fn ingest_observed(
         &mut self,
         label: u64,
@@ -175,31 +180,22 @@ impl StreamService {
         if !sink.enabled() {
             return self.ingest(label, sample);
         }
-        let known = self.shards[self.shard_of(label)]
-            .streams
-            .contains_key(&label);
-        self.ingest(label, sample)?;
+        let window = self.window(label, sample)?;
+        // Windows only shrink by evicting from a full window, so an
+        // empty one was created for this sample.
+        let new = window.is_empty();
+        let before = window.evictions();
+        window.push(sample);
+        let evicted = window.evictions() - before;
+        self.pushes += 1;
         sink.add(keys::STREAM_PUSHES, 1);
-        if !known {
+        if new {
             sink.add(keys::STREAM_STREAMS, 1);
         }
-        let evictions = self.total_evictions();
-        if evictions > self.evictions_recorded {
-            sink.add(
-                keys::STREAM_WINDOW_EVICTIONS,
-                evictions - self.evictions_recorded,
-            );
-            self.evictions_recorded = evictions;
+        if evicted > 0 {
+            sink.add(keys::STREAM_WINDOW_EVICTIONS, evicted);
         }
         Ok(())
-    }
-
-    fn total_evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.streams.values())
-            .map(|w| w.evictions())
-            .sum()
     }
 
     /// The coordinator's anytime threshold-rule verdict.
@@ -211,11 +207,18 @@ impl StreamService {
     /// Wilson schedule; `certified` reports whether the vote-rate
     /// interval at this look clears `reject_threshold / votes`.
     pub fn verdict(&mut self) -> Anytime<Verdict> {
+        self.verdict_with_votes().0
+    }
+
+    /// [`verdict`](Self::verdict) and the rejecting-vote count it was
+    /// read from, from one tally.
+    fn verdict_with_votes(&mut self) -> (Anytime<Verdict>, usize) {
         let (votes, rejecting) = self.tally();
         let look = self.looks;
         self.looks += 1;
         if votes == 0 {
-            return Anytime::at_look(Verdict::Pending, self.pushes, look, false);
+            let pending = Anytime::at_look(Verdict::Pending, self.pushes, look, false);
+            return (pending, rejecting);
         }
         let value = if rejecting >= self.cfg.reject_threshold {
             Verdict::Far
@@ -229,14 +232,14 @@ impl StreamService {
             Verdict::Uniform => est.certified_below(frac),
             Verdict::Pending => false,
         };
-        Anytime::at_look(value, self.pushes, look, certified)
+        let verdict = Anytime::at_look(value, self.pushes, look, certified);
+        (verdict, rejecting)
     }
 
     /// [`verdict`](Self::verdict) with `stream.*` metrics recorded to
     /// `sink`.
     pub fn verdict_observed(&mut self, sink: &mut dyn Sink) -> Anytime<Verdict> {
-        let (_, rejecting) = self.tally();
-        let result = self.verdict();
+        let (result, rejecting) = self.verdict_with_votes();
         if sink.enabled() {
             sink.add(keys::STREAM_COORDINATOR_LOOKS, 1);
             sink.add(keys::STREAM_COORDINATOR_REJECTING_VOTES, rejecting as u64);
@@ -407,5 +410,33 @@ mod tests {
         assert_eq!(sink.counter(keys::STREAM_COORDINATOR_LOOKS), 1);
         observed.global_verdict_observed(&mut sink);
         assert_eq!(sink.counter(keys::STREAM_COORDINATOR_MERGES), 4);
+    }
+
+    #[test]
+    fn observed_ingest_bills_only_its_own_evictions() {
+        // An unobserved warm-up fills and overflows stream 0's window;
+        // the observed pushes that follow must not inherit its
+        // evictions.
+        let mut svc = StreamService::new(cfg(2)).unwrap();
+        for i in 0..40u64 {
+            svc.ingest(0, (i % 64) as usize).unwrap();
+        }
+        let mut sink = MemorySink::new();
+        for i in 0..10u64 {
+            // Stream 0 is full: each push evicts one sample. Stream 1
+            // is new and holds 5 samples: no evictions.
+            svc.ingest_observed(i % 2, (i % 64) as usize, &mut sink)
+                .unwrap();
+        }
+        assert_eq!(sink.counter(keys::STREAM_PUSHES), 10);
+        assert_eq!(sink.counter(keys::STREAM_STREAMS), 1);
+        assert_eq!(sink.counter(keys::STREAM_WINDOW_EVICTIONS), 5);
+        // Unobserved pushes in between are not billed to later
+        // observed ones either.
+        for i in 0..7u64 {
+            svc.ingest(0, (i % 64) as usize).unwrap();
+        }
+        svc.ingest_observed(1, 3, &mut sink).unwrap();
+        assert_eq!(sink.counter(keys::STREAM_WINDOW_EVICTIONS), 5);
     }
 }

@@ -6,15 +6,13 @@
 //! scalar paths they replace: same draws, same RNG end state, same
 //! verdicts — for *any* `RngCore`, not just the one the benchmarks
 //! happen to use. This suite drives that contract across the
-//! pmf/hostile-weights strategy palette on both `StdRng` (the default
-//! trial generator) and `BatchRng` (the `fast-sampling` generator).
+//! pmf/hostile-weights strategy palette on both `StdRng` (the trial
+//! generator) and the counter-based `BatchRng`.
 //!
-//! The `fast-sampling` feature swaps `dut_core::montecarlo::sampling_rng`
-//! from `StdRng` to `BatchRng`, which *reorders the RNG stream* — so
-//! verdict identity across that flag is checked against the exact
-//! oracle, not draw-for-draw: both configurations must land the gap
-//! tester's rejection-rate estimate inside the same Wilson interval
-//! around the closed-form rate. CI runs this file in both lanes.
+//! The Monte-Carlo trial generator `dut_core::montecarlo::sampling_rng`
+//! is also checked against the exact oracle: the gap tester's
+//! rejection-rate estimate on it must land inside a tight band around
+//! the closed-form rate.
 
 use dut_core::decision::Decision;
 use dut_core::gap::GapTester;
@@ -157,12 +155,10 @@ proptest! {
     }
 }
 
-/// Verdict contract across the `fast-sampling` flag: `sampling_rng`
-/// yields a different stream under the flag, so the check is against
-/// the exact oracle — the Monte-Carlo rejection-rate estimate must
-/// bracket the closed-form rate in *both* configurations. CI runs the
-/// suite with and without the feature; a kernel bug that skews the
-/// sample distribution fails whichever lane it lives in.
+/// Verdict contract for the trial generator: the Monte-Carlo
+/// rejection-rate estimate on `sampling_rng` streams must bracket the
+/// exact oracle's closed-form rate, so a kernel bug that skews the
+/// sample distribution fails here.
 #[test]
 fn gap_tester_rejection_rate_matches_exact_oracle_on_sampling_rng() {
     let n = 256;
